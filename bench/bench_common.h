@@ -23,8 +23,8 @@
 #include "fuzz/campaign.h"
 #include "fuzz/report.h"
 #include "fuzz/telemetry.h"
-#include "util/fileio.h"
 #include "util/options.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::bench {
 
@@ -59,7 +59,7 @@ inline BenchOptions parse_bench_options(int argc, const char* const* argv,
 // pipeline expects a complete one. No-op when --report is unset.
 inline void save_report(const BenchOptions& bench, const std::string& text) {
   if (bench.report_path.empty()) return;
-  util::write_file_atomic(bench.report_path, text);
+  util::record_log::write_file_atomic(bench.report_path, text);
   std::printf("report saved to %s\n", bench.report_path.c_str());
 }
 

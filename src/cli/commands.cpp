@@ -25,7 +25,7 @@
 #include "swarm/olfati_saber.h"
 #include "swarm/reynolds.h"
 #include "swarm/vasarhelyi.h"
-#include "util/fileio.h"
+#include "util/record_log.h"
 #include "util/retry.h"
 #include "util/table.h"
 
@@ -422,7 +422,7 @@ int emit_campaign_report(const fuzz::CampaignResult& result,
   // where a dashboard or a later pipeline stage expects a complete one.
   const std::string summary_path = options.get("summary", "");
   if (!summary_path.empty()) {
-    util::write_file_atomic(summary_path, fuzz::to_json(result) + "\n");
+    util::record_log::write_file_atomic(summary_path, fuzz::to_json(result) + "\n");
   }
   if (options.get_bool("json", false)) {
     std::printf("%s\n", fuzz::to_json(result).c_str());
@@ -632,25 +632,10 @@ int cmd_merge(const util::Options& options) {
   // bit-identical guarantee, executable anywhere.
   const std::string golden_path = options.get("golden", "");
   if (!golden_path.empty()) {
-    fuzz::CampaignResult golden;
-    golden.config = config;
-    golden.outcomes.resize(static_cast<std::size_t>(config.num_missions));
-    for (int i = 0; i < config.num_missions; ++i) {
-      golden.outcomes[static_cast<std::size_t>(i)].mission_index = i;
-    }
+    fuzz::CampaignResult golden = fuzz::empty_result(config);
     for (const fuzz::TelemetryRecord& record :
          fuzz::load_telemetry(golden_path)) {
-      fuzz::validate_checkpoint_record(record, config);
-      fuzz::MissionOutcome& outcome =
-          golden.outcomes[static_cast<std::size_t>(record.mission_index)];
-      if (outcome.completed) continue;
-      outcome.completed = true;
-      outcome.mission_seed = record.mission_seed;
-      outcome.wall_time_s = record.wall_time_s;
-      outcome.result = record.result;
-      outcome.fault = record.fault;
-      outcome.fault_detail = record.fault_detail;
-      outcome.fault_attempts = record.fault_attempts;
+      fuzz::replay_record(golden, record);
     }
     if (!fuzz::deterministic_equal(result, golden)) {
       std::fprintf(stderr,

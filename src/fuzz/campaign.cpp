@@ -8,13 +8,12 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "fuzz/eval_pool.h"
 #include "util/logging.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
 
@@ -438,15 +437,14 @@ void validate_checkpoint_record(const TelemetryRecord& record,
       " (different campaign?)");
 }
 
-namespace {
-
-TelemetryRecord make_record(const CampaignConfig& config,
-                            const MissionOutcome& outcome) {
+TelemetryRecord to_record(const CampaignConfig& config,
+                          const MissionOutcome& outcome, int shard) {
   TelemetryRecord record;
   record.mission_index = outcome.mission_index;
   record.fuzzer = std::string{fuzzer_kind_name(config.kind)};
   record.mission_seed = outcome.mission_seed;
   record.wall_time_s = outcome.wall_time_s;
+  record.shard = shard;
   record.result = outcome.result;
   record.fault = outcome.fault;
   record.fault_detail = outcome.fault_detail;
@@ -454,7 +452,79 @@ TelemetryRecord make_record(const CampaignConfig& config,
   return record;
 }
 
-}  // namespace
+MissionOutcome to_outcome(const TelemetryRecord& record) {
+  MissionOutcome outcome;
+  outcome.mission_index = record.mission_index;
+  outcome.completed = true;
+  outcome.mission_seed = record.mission_seed;
+  outcome.wall_time_s = record.wall_time_s;
+  outcome.result = record.result;
+  outcome.fault = record.fault;
+  outcome.fault_detail = record.fault_detail;
+  outcome.fault_attempts = record.fault_attempts;
+  return outcome;
+}
+
+CampaignResult empty_result(const CampaignConfig& config) {
+  CampaignResult result;
+  result.config = config;
+  result.outcomes.resize(static_cast<size_t>(config.num_missions));
+  for (int i = 0; i < config.num_missions; ++i) {
+    result.outcomes[static_cast<size_t>(i)].mission_index = i;
+  }
+  return result;
+}
+
+bool replay_record(CampaignResult& result, const TelemetryRecord& record) {
+  validate_checkpoint_record(record, result.config);
+  MissionOutcome& outcome =
+      result.outcomes[static_cast<size_t>(record.mission_index)];
+  MissionOutcome replayed = to_outcome(record);
+  if (!outcome.completed) {
+    outcome = std::move(replayed);
+    return true;
+  }
+  if (!deterministic_equal(outcome, replayed)) {
+    throw std::runtime_error("replay: mission " +
+                             std::to_string(record.mission_index) +
+                             " has conflicting records");
+  }
+  return false;
+}
+
+QuarantineLog::QuarantineLog(std::string path, const CampaignConfig& config)
+    : path_(std::move(path)),
+      fuzzer_(fuzzer_kind_name(config.kind)),
+      config_hash_(campaign_config_hash(config)) {
+  if (path_.empty()) return;
+  for (const QuarantineRecord& record : load_quarantine(path_)) {
+    quarantined_.emplace(record.config_hash, record.mission_seed,
+                         record.mission_index);
+  }
+}
+
+void QuarantineLog::record(const MissionOutcome& outcome) {
+  if (path_.empty() || outcome.fault == sim::FaultKind::kNone ||
+      !quarantined_
+           .emplace(config_hash_, outcome.mission_seed, outcome.mission_index)
+           .second) {
+    return;
+  }
+  QuarantineRecord quarantine;
+  quarantine.mission_index = outcome.mission_index;
+  quarantine.fuzzer = fuzzer_;
+  quarantine.mission_seed = outcome.mission_seed;
+  quarantine.config_hash = config_hash_;
+  quarantine.fault = outcome.fault;
+  quarantine.detail = outcome.fault_detail;
+  quarantine.attempts = outcome.fault_attempts;
+  try {
+    util::record_log::append(path_, to_jsonl(quarantine));
+  } catch (const std::exception& e) {
+    SWARMFUZZ_ERROR("campaign: cannot write quarantine record to {}: {}",
+                    path_, e.what());
+  }
+}
 
 FuzzerConfig worker_fuzzer_config(const CampaignConfig& config, int workers) {
   // Mission workers, per-worker eval threads and per-simulation tick threads
@@ -583,44 +653,26 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   if (config.num_missions < 1) {
     throw std::invalid_argument("run_campaign: num_missions < 1");
   }
-  CampaignResult result;
-  result.config = config;
-  result.outcomes.resize(static_cast<size_t>(config.num_missions));
-  for (int i = 0; i < config.num_missions; ++i) {
-    result.outcomes[static_cast<size_t>(i)].mission_index = i;
-  }
+  CampaignResult result = empty_result(config);
 
-  // Replay the checkpoint, then reopen it truncated and re-emit the records
-  // we kept: this normalizes away torn trailing lines and duplicates while
-  // preserving crash safety for the missions that follow.
+  // Replay the whole checkpoint before truncating it — a foreign or
+  // conflicting file must be rejected with its contents intact — then
+  // reopen it truncated and re-emit the records we kept: this normalizes
+  // away torn trailing lines and duplicates while preserving crash safety
+  // for the missions that follow.
   int resumed = 0;
   std::unique_ptr<JsonlTelemetrySink> checkpoint;
   if (!config.checkpoint_path.empty()) {
-    std::vector<TelemetryRecord> records;
+    std::vector<TelemetryRecord> kept;
     if (config.resume) {
-      records = load_telemetry(config.checkpoint_path);
-    }
-    // Validate every record before truncating the file: a checkpoint from a
-    // different campaign must be rejected with its contents intact.
-    for (const TelemetryRecord& record : records) {
-      validate_checkpoint_record(record, config);
+      for (TelemetryRecord& record : load_telemetry(config.checkpoint_path)) {
+        if (replay_record(result, record)) kept.push_back(std::move(record));
+      }
     }
     checkpoint = std::make_unique<JsonlTelemetrySink>(config.checkpoint_path,
                                                       /*append=*/false);
-    for (const TelemetryRecord& record : records) {
-      MissionOutcome& outcome =
-          result.outcomes[static_cast<size_t>(record.mission_index)];
-      if (outcome.completed) continue;  // duplicate line; keep the first
-      outcome.completed = true;
-      outcome.mission_seed = record.mission_seed;
-      outcome.wall_time_s = record.wall_time_s;
-      outcome.result = record.result;
-      outcome.fault = record.fault;
-      outcome.fault_detail = record.fault_detail;
-      outcome.fault_attempts = record.fault_attempts;
-      checkpoint->record(record);
-      ++resumed;
-    }
+    for (const TelemetryRecord& record : kept) checkpoint->record(record);
+    resumed = static_cast<int>(kept.size());
     if (resumed > 0) {
       SWARMFUZZ_INFO("campaign [{}]: resumed {}/{} missions from {}",
                      fuzzer_kind_name(config.kind), resumed, config.num_missions,
@@ -648,20 +700,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     if (o.completed && o.fault != sim::FaultKind::kNone) faulted.fetch_add(1);
   }
   std::mutex observer_mutex;  // serializes checkpoint order + progress callbacks
-  const std::string config_hash = campaign_config_hash(config);
-
-  // Quarantine is append-only across resumes: a mission whose checkpoint
-  // line was lost (torn tail, deleted file) re-runs and would re-quarantine.
-  // Seeding the dedup set from the existing file keys every append on
-  // (config hash, seed, index), so replayed faults never duplicate records.
-  std::set<std::tuple<std::string, std::uint64_t, int>> quarantined;
-  if (!config.quarantine_path.empty()) {
-    for (const QuarantineRecord& record :
-         load_quarantine(config.quarantine_path)) {
-      quarantined.emplace(record.config_hash, record.mission_seed,
-                          record.mission_index);
-    }
-  }
+  QuarantineLog quarantine(config.quarantine_path, config);
 
   const auto worker = [&] {
     // The whole body is supervised: an exception anywhere outside the
@@ -689,31 +728,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
         {
           const std::lock_guard<std::mutex> lock(observer_mutex);
-          const TelemetryRecord record = make_record(config, outcome);
+          const TelemetryRecord record = to_record(config, outcome);
           if (checkpoint) checkpoint->record(record);
           if (config.telemetry) config.telemetry->record(record);
-          if (outcome.fault != sim::FaultKind::kNone &&
-              !config.quarantine_path.empty() &&
-              quarantined
-                  .emplace(config_hash, outcome.mission_seed, index)
-                  .second) {
-            QuarantineRecord quarantine;
-            quarantine.mission_index = index;
-            quarantine.fuzzer = std::string{fuzzer_kind_name(config.kind)};
-            quarantine.mission_seed = outcome.mission_seed;
-            quarantine.config_hash = config_hash;
-            quarantine.fault = outcome.fault;
-            quarantine.detail = outcome.fault_detail;
-            quarantine.attempts = outcome.fault_attempts;
-            try {
-              append_jsonl_line(config.quarantine_path, to_jsonl(quarantine));
-            } catch (const std::exception& e) {
-              // Quarantine is observability; losing a record must not lose
-              // the campaign.
-              SWARMFUZZ_ERROR("campaign: cannot write quarantine record: {}",
-                              e.what());
-            }
-          }
+          quarantine.record(outcome);
           if (config.on_progress) {
             CampaignProgress progress;
             progress.completed = done;

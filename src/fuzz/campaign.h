@@ -8,9 +8,9 @@
 // The single exception is MissionOutcome::wall_time_s, which is measured.
 //
 // Durability: when `checkpoint_path` is set, every completed mission is
-// appended to a JSONL checkpoint (write + flush per record, CRC-framed). A
-// restarted campaign replays the file, skips finished mission indices, and
-// reconstructs a CampaignResult identical to an uninterrupted run's.
+// appended to a JSONL checkpoint (util/record_log.h). A restarted campaign
+// replays the file, skips finished mission indices, and reconstructs a
+// CampaignResult identical to an uninterrupted run's.
 //
 // Fault containment (DESIGN.md section 11): a mission whose fuzz() raises —
 // sentinel divergence, watchdog timeout, or any other exception — is retried
@@ -22,8 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/fuzzer.h"
@@ -244,6 +246,46 @@ struct CampaignResult {
 // fabricate results from a foreign file.
 void validate_checkpoint_record(const TelemetryRecord& record,
                                 const CampaignConfig& config);
+
+// The durable form of a completed mission and back. `shard` is the lease id
+// for sharded campaigns, -1 for single-process runs.
+[[nodiscard]] TelemetryRecord to_record(const CampaignConfig& config,
+                                        const MissionOutcome& outcome,
+                                        int shard = -1);
+[[nodiscard]] MissionOutcome to_outcome(const TelemetryRecord& record);
+
+// A result for `config` with every mission index present and none completed.
+[[nodiscard]] CampaignResult empty_result(const CampaignConfig& config);
+
+// Keep-first replay of one durable record into `result` — the one path by
+// which checkpoint resume, the shard merge and `merge --golden` rebuild a
+// campaign. The record is validated against result.config first. Returns
+// true when it filled its mission, false when it duplicates an already
+// replayed record that agrees on every deterministic field; a disagreeing
+// duplicate throws std::runtime_error (the records cannot come from one
+// campaign, or a corrupt record slipped past its CRC).
+bool replay_record(CampaignResult& result, const TelemetryRecord& record);
+
+// Append-only quarantine file of a campaign (or of one lease): one
+// QuarantineRecord per terminally-faulted mission, deduped on (config hash,
+// mission seed, index) with the dedup set seeded from the file, so a
+// mission re-run after a resume or reclaim is not quarantined twice. Write
+// failures are logged, never thrown: quarantine is observability, and
+// losing a record must not lose the campaign. An empty path disables it.
+// Not thread-safe; callers serialize record().
+class QuarantineLog {
+ public:
+  QuarantineLog(std::string path, const CampaignConfig& config);
+
+  // Appends `outcome` when it carries a fault not yet quarantined.
+  void record(const MissionOutcome& outcome);
+
+ private:
+  std::string path_;
+  std::string fuzzer_;
+  std::string config_hash_;
+  std::set<std::tuple<std::string, std::uint64_t, int>> quarantined_;
+};
 
 // The eval-thread budget one campaign worker runs with when `workers`
 // workers share the machine: splits the hardware via split_eval_threads and

@@ -1,7 +1,6 @@
 #include "fuzz/coordinator.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <set>
@@ -9,7 +8,7 @@
 
 #include "fuzz/telemetry.h"
 #include "util/logging.h"
-#include "util/retry.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -111,17 +110,10 @@ bool Coordinator::recarve(const LeaseRange& lease, const char* reason) {
     // Marker first (exclusive create — single winner among coordinators):
     // once it exists the lease can never be claimed again, so a crash
     // before the ledger entry lands only delays coverage until heal.
-    const std::string marker = recarved_marker_path(config_.dir, id);
-    const bool won = util::io_retrier().run("recarve_marker", [&]() -> bool {
-      std::FILE* file = std::fopen(marker.c_str(), "wbx");
-      if (file != nullptr) {
-        std::fclose(file);
-        return true;
-      }
-      if (errno == EEXIST) return false;
-      throw util::IoError("coordinator: cannot create " + marker, errno);
-    });
-    if (!won) return false;
+    if (!util::record_log::create_exclusive(
+            recarved_marker_path(config_.dir, id), "")) {
+      return false;
+    }
   }
   // Probe the prefix *after* the marker: the straggler may still append
   // while unfenced, and any record past this point merely becomes a merge
@@ -146,7 +138,7 @@ bool Coordinator::recarve(const LeaseRange& lease, const char* reason) {
       begin += size;
     }
   }
-  append_jsonl_line(recarve_ledger_path(config_.dir), to_jsonl(record));
+  util::record_log::append(recarve_ledger_path(config_.dir), to_jsonl(record));
   store_.fence_claim(id);
   ++stats_.recarves;
   stats_.subleases += static_cast<int>(record.subs.size());

@@ -1,18 +1,13 @@
 #include "fuzz/corpus.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <stdexcept>
 
-#include "fuzz/telemetry.h"
 #include "util/json.h"
-#include "util/logging.h"
-#include "util/retry.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -158,11 +153,11 @@ std::string to_jsonl(const CorpusEntry& entry) {
   }
   json.end_array();
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 CorpusEntry corpus_entry_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   CorpusEntry entry;
   entry.seed.target = root.at("target").as_int();
@@ -184,58 +179,16 @@ CorpusEntry corpus_entry_from_json(std::string_view line) {
 }
 
 void save_corpus(const Corpus& corpus, const std::string& path) {
-  // Write-to-temp + atomic rename: a crash mid-save leaves the previous
-  // corpus intact, and no reader ever observes a half-written file. Retries
-  // route through the shared I/O retrier like every other durable write.
-  const std::string tmp = path + ".tmp";
-  util::io_retrier().run("save_corpus", [&] {
-    std::FILE* file = std::fopen(tmp.c_str(), "wb");
-    if (file == nullptr) {
-      throw util::IoError("corpus: cannot open " + tmp + " for writing", errno);
-    }
-    bool ok = true;
-    for (const CorpusEntry& entry : corpus.entries()) {
-      std::string line = to_jsonl(entry);
-      line.push_back('\n');
-      ok = ok && std::fwrite(line.data(), 1, line.size(), file) == line.size();
-    }
-    ok = ok && std::fflush(file) == 0;
-    const int write_errno = errno;
-    const bool closed = std::fclose(file) == 0;
-    if (!ok) {
-      throw util::IoError("corpus: short write to " + tmp, write_errno);
-    }
-    if (!closed) {
-      throw util::IoError("corpus: cannot close " + tmp, errno);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-      throw util::IoError("corpus: cannot rename " + tmp + " to " + path +
-                              ": " + ec.message(),
-                          ec.value());
-    }
-  });
+  std::string content;
+  for (const CorpusEntry& entry : corpus.entries()) {
+    content += to_jsonl(entry);
+    content.push_back('\n');
+  }
+  util::record_log::write_file_atomic(path, content);
 }
 
 std::vector<CorpusEntry> load_corpus(const std::string& path) {
-  std::vector<CorpusEntry> entries;
-  for (const JsonlLine& line : read_jsonl_lines(path)) {
-    try {
-      entries.push_back(corpus_entry_from_json(line.text));
-    } catch (const std::exception& e) {
-      // Same policy as every durable JSONL stream: a torn final line is the
-      // crash signature and is skipped; a corrupt complete line means the
-      // file cannot be trusted.
-      if (line.complete) {
-        throw std::runtime_error("corpus: corrupt entry in " + path + ": " +
-                                 e.what());
-      }
-      SWARMFUZZ_WARN("corpus: skipping torn final entry in {} ({} bytes): {}",
-                     path, line.text.size(), e.what());
-    }
-  }
-  return entries;
+  return util::record_log::load(path, corpus_entry_from_json);
 }
 
 }  // namespace swarmfuzz::fuzz

@@ -1,17 +1,15 @@
 #include "fuzz/lease.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
-#include "fuzz/telemetry.h"
-#include "util/fileio.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/record_log.h"
 #include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
@@ -48,11 +46,11 @@ std::string to_jsonl(const LeaseClaimRecord& record) {
   json.key("expires_at_ms");
   json.value(std::to_string(record.expires_at_ms));
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 LeaseClaimRecord lease_claim_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   LeaseClaimRecord record;
   record.schema_version = root.at("v").as_int();
@@ -87,11 +85,11 @@ std::string to_jsonl(const RecarveRecord& record) {
   }
   json.end_array();
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 RecarveRecord recarve_record_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   RecarveRecord record;
   record.schema_version = root.at("v").as_int();
@@ -126,68 +124,10 @@ std::int64_t system_now_ms() {
       .count();
 }
 
-// Reads a whole file through the retrier. ENOENT yields an empty result with
-// `exists` false (an absent claim/ledger is a normal state, not an error);
-// any other failure is an IoError the retrier may absorb.
-struct FileContent {
-  bool exists = false;
-  std::string content;
-};
-
-FileContent read_file(const std::string& path, std::string_view op) {
-  return util::io_retrier().run(op, [&]() -> FileContent {
-    FileContent result;
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      if (errno == ENOENT) return result;
-      throw util::IoError("lease: cannot open " + path, errno);
-    }
-    char buffer[1 << 14];
-    std::size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-      result.content.append(buffer, read);
-    }
-    const bool failed = std::ferror(file) != 0;
-    const int read_errno = errno;
-    std::fclose(file);
-    if (failed) {
-      throw util::IoError("lease: cannot read " + path, read_errno);
-    }
-    result.exists = true;
-    return result;
-  });
-}
-
 }  // namespace
 
 std::vector<RecarveRecord> load_recarve_ledger(const std::string& path) {
-  std::vector<RecarveRecord> records;
-  const FileContent file = read_file(path, "ledger_read");
-  if (!file.exists) return records;
-  std::size_t start = 0;
-  const std::string& content = file.content;
-  while (start < content.size()) {
-    std::size_t end = content.find('\n', start);
-    const bool complete_line = end != std::string::npos;
-    if (!complete_line) end = content.size();
-    const std::string_view line{content.data() + start, end - start};
-    start = end + 1;
-    if (line.empty()) continue;
-    try {
-      records.push_back(recarve_record_from_json(line));
-    } catch (const std::exception& e) {
-      // Same torn-tail contract as telemetry streams: an unterminated final
-      // line is a coordinator that died mid-append (its orphaned marker is
-      // healed later); a corrupt complete line is real corruption.
-      if (complete_line) {
-        throw std::runtime_error("recarve: corrupt ledger record in " + path +
-                                 ": " + e.what());
-      }
-      SWARMFUZZ_WARN("recarve: skipping torn final record in {} ({} bytes)",
-                     path, line.size());
-    }
-  }
-  return records;
+  return util::record_log::load(path, recarve_record_from_json);
 }
 
 LeaseTable load_lease_table(const std::string& dir, int num_missions,
@@ -279,37 +219,24 @@ void LeaseStore::mark_done(int lease_id) {
   // Atomic write-then-rename: the marker either exists complete or not at
   // all, so a crash between the final mission record and this call merely
   // leaves the lease for a (no-op) reclaim that re-marks it.
-  util::write_file_atomic(done_path(lease_id), owner_ + "\n");
+  util::record_log::write_file_atomic(done_path(lease_id), owner_ + "\n");
 }
 
 void LeaseStore::set_append_hook_for_test(std::function<void()> hook) {
   append_hook_ = std::move(hook);
 }
 
-void LeaseStore::append_claim(const std::string& path,
-                              const LeaseClaimRecord& record) {
-  if (append_hook_) append_hook_();
-  append_jsonl_line(path, to_jsonl(record));
-}
-
 LeaseClaimRecord LeaseStore::latest_claim(const std::string& path) const {
   LeaseClaimRecord latest;  // lease_id = -1: no valid record
-  const FileContent file = read_file(path, "claim_read");
-  if (!file.exists) return latest;
-  const std::string& content = file.content;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    std::size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    const std::string_view line{content.data() + start, end - start};
-    start = end + 1;
-    if (line.empty()) continue;
+  const std::optional<std::string> content = util::record_log::read(path);
+  if (!content) return latest;
+  for (const util::record_log::Line& line : util::record_log::split_lines(*content)) {
     try {
-      latest = lease_claim_from_json(line);
+      latest = lease_claim_from_json(line.text);
     } catch (const std::exception&) {
-      // A torn or corrupt line (SIGKILL mid-claim or mid-renew) is a dead
-      // claimant's unfinished write: ignore it and keep the last record
-      // that did land, which expires on its own schedule.
+      // A torn or corrupt line (SIGKILL mid-renew) is a dead claimant's
+      // unfinished write: ignore it and keep the last record that did land,
+      // which expires on its own schedule.
     }
   }
   return latest;
@@ -327,22 +254,13 @@ bool LeaseStore::try_claim(int lease_id) {
   // rejects, or loses a reclaim race to a process that just claimed — which
   // then holds an unexpired lease, so the next iteration rejects.
   for (int attempt = 0; attempt < 4; ++attempt) {
-    // C11 exclusive create: exactly one of any number of racing processes
-    // gets the file handle; everyone else sees EEXIST.
-    const bool created =
-        util::io_retrier().run("claim_create", [&]() -> bool {
-          std::FILE* file = std::fopen(path.c_str(), "wbx");
-          if (file != nullptr) {
-            std::fclose(file);
-            return true;
-          }
-          if (errno == EEXIST) return false;
-          throw util::IoError("lease: cannot create " + path, errno);
-        });
-    if (created) {
-      append_claim(path, LeaseClaimRecord{.lease_id = lease_id,
-                                          .owner = owner_,
-                                          .expires_at_ms = now_ms() + ttl_ms_});
+    // Publish the claim with its first record already inside: exactly one
+    // of any number of racing claimants wins, and no reader ever sees an
+    // empty claim file it could mistake for a dead claimant's.
+    if (append_hook_) append_hook_();
+    const LeaseClaimRecord claim{
+        .lease_id = lease_id, .owner = owner_, .expires_at_ms = now_ms() + ttl_ms_};
+    if (util::record_log::create_exclusive(path, to_jsonl(claim) + "\n")) {
       return true;
     }
     const LeaseClaimRecord latest = latest_claim(path);
@@ -350,25 +268,13 @@ bool LeaseStore::try_claim(int lease_id) {
       if (latest.owner != owner_) return false;  // validly held by another
       return true;  // re-entry on our own live claim
     }
-    // Expired (or the file holds no valid record at all — a claimant that
-    // died before its first line landed). Move it aside; the atomic rename
-    // picks a single winner among racing reclaimers, and the loser's next
-    // iteration observes whatever the winner wrote.
-    const std::string dead = path + ".dead." + std::to_string(now_ms()) + "." +
-                             std::to_string(reclaim_nonce_++);
-    const bool renamed = util::io_retrier().run("claim_reclaim", [&]() -> bool {
-      std::error_code ec;
-      std::filesystem::rename(path, dead, ec);
-      if (!ec) return true;
-      std::error_code exists_ec;
-      if (!std::filesystem::exists(path, exists_ec)) return false;
-      throw util::IoError("lease: cannot reclaim " + path + ": " + ec.message(),
-                          ec.value());
-    });
-    if (!renamed) continue;  // winner re-creating
-    SWARMFUZZ_WARN("lease {}: reclaiming expired claim of '{}' (moved to {})",
-                   lease_id, latest.lease_id >= 0 ? latest.owner : "<torn>",
-                   dead);
+    // Expired (or the file holds no valid record at all — a legacy claimant
+    // that died before its first line landed). Move it aside; the atomic
+    // rename picks a single winner among racing reclaimers, and the loser's
+    // next iteration observes whatever the winner wrote.
+    if (!fence_claim(lease_id)) continue;  // winner re-creating
+    SWARMFUZZ_WARN("lease {}: reclaiming expired claim of '{}'", lease_id,
+                   latest.lease_id >= 0 ? latest.owner : "<torn>");
   }
   return false;
 }
@@ -382,9 +288,11 @@ bool LeaseStore::renew(int lease_id) {
     // legitimately owns; the caller must abandon the range instead.
     return false;
   }
-  append_claim(path, LeaseClaimRecord{.lease_id = lease_id,
+  if (append_hook_) append_hook_();
+  util::record_log::append(
+      path, to_jsonl(LeaseClaimRecord{.lease_id = lease_id,
                                       .owner = owner_,
-                                      .expires_at_ms = now_ms() + ttl_ms_});
+                                      .expires_at_ms = now_ms() + ttl_ms_}));
   return true;
 }
 
@@ -404,7 +312,8 @@ bool LeaseStore::fence_claim(int lease_id) {
     if (!ec) return true;
     std::error_code exists_ec;
     if (!std::filesystem::exists(path, exists_ec)) return false;  // no claim
-    throw util::IoError("lease: cannot fence " + path + ": " + ec.message(),
+    throw util::IoError("lease: cannot move aside " + path + ": " +
+                            ec.message(),
                         ec.value());
   });
 }

@@ -6,17 +6,17 @@
 // worker at any instruction (including SIGKILL mid-write) loses no missions
 // and duplicates none in the merged report:
 //
-//   lease-<k>.claim   Exclusive-create claim file, appended-to JSONL of
-//                     CRC-framed LeaseClaimRecords (the initial claim plus
-//                     one renewal per heartbeat). The last *valid* record
+//   lease-<k>.claim   Claim file: JSONL of CRC-framed LeaseClaimRecords,
+//                     published with the initial claim already inside and
+//                     appended one renewal per heartbeat. The last *valid* record
 //                     holds the current owner and expiry; a torn trailing
 //                     record (SIGKILL mid-renew) simply falls back to the
 //                     previous one, which expires on schedule.
 //   lease-<k>.done    Atomically-written completion marker (exists = every
 //                     mission of the range has a durable shard record).
 //
-// Claiming: try to create the claim file exclusively (O_EXCL — a single
-// winner even across racing processes). If it already exists and its latest
+// Claiming: publish the claim file with util::record_log::create_exclusive
+// (a single winner even across racing processes, never visible empty). If it already exists and its latest
 // valid record is unexpired under another owner, the claim is rejected. If
 // it is expired (the owner died or stalled), the reclaimer renames the file
 // aside to `lease-<k>.claim.dead.<nonce>` — rename is atomic, so exactly one
@@ -169,7 +169,7 @@ class LeaseStore {
   // a straggler so its in-flight mission result is dropped, not recorded.
   bool fence_claim(int lease_id);
 
-  // Test hook: runs before every claim-file append (initial claim and each
+  // Test hook: runs before every claim-file write (initial claim and each
   // renewal); a hook that throws util::IoError simulates transport failure.
   void set_append_hook_for_test(std::function<void()> hook);
 
@@ -185,9 +185,6 @@ class LeaseStore {
   // semantics via lease_id < 0 when the file has no valid record at all —
   // which is treated as expired (a torn initial claim is a dead claimant).
   [[nodiscard]] LeaseClaimRecord latest_claim(const std::string& path) const;
-
-  // Appends one claim/renewal record, via the append hook when set.
-  void append_claim(const std::string& path, const LeaseClaimRecord& record);
 
   std::string dir_;
   std::int64_t ttl_ms_;

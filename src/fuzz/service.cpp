@@ -9,46 +9,25 @@
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <tuple>
 
-#include "util/fileio.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/record_log.h"
 #include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
 
-// Reads a small durable file (manifest, holes) through the retrier.
-// `missing_hint` is appended to the ENOENT message — the one failure with an
-// operator remedy rather than a retry schedule.
-std::string read_small_file(const std::string& path, std::string_view op,
-                            const char* missing_hint) {
-  return util::io_retrier().run(op, [&]() -> std::string {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      std::string message = "service: cannot open " + path;
-      if (errno == ENOENT) message += missing_hint;
-      throw util::IoError(message, errno);
-    }
-    std::string content;
-    char buffer[1 << 12];
-    std::size_t read = 0;
-    while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-      content.append(buffer, read);
-    }
-    const bool failed = std::ferror(file) != 0;
-    const int read_errno = errno;
-    std::fclose(file);
-    if (failed) {
-      throw util::IoError("service: cannot read " + path, read_errno);
-    }
-    while (!content.empty() &&
-           (content.back() == '\n' || content.back() == '\r')) {
-      content.pop_back();
-    }
-    return content;
-  });
+// The one record of a single-record file (manifest, holes). `missing_hint`
+// is the operator remedy appended when there is none.
+template <typename Parse>
+auto load_single(const std::string& path, Parse parse, const char* missing_hint) {
+  auto records = util::record_log::load(path, parse);
+  if (records.size() != 1) {
+    throw std::runtime_error("service: expected one record in " + path +
+                             missing_hint);
+  }
+  return records.front();
 }
 
 }  // namespace
@@ -71,11 +50,11 @@ std::string to_jsonl(const ServiceManifest& manifest) {
   for (const std::string& arg : manifest.campaign_args) json.value(arg);
   json.end_array();
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 ServiceManifest service_manifest_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   ServiceManifest manifest;
   manifest.schema_version = root.at("v").as_int();
@@ -100,30 +79,12 @@ std::string manifest_path(const std::string& dir) {
 
 void write_manifest(const std::string& dir, const ServiceManifest& manifest) {
   std::filesystem::create_directories(dir);
-  util::write_file_atomic(manifest_path(dir), to_jsonl(manifest) + "\n");
+  util::record_log::write_file_atomic(manifest_path(dir), to_jsonl(manifest) + "\n");
 }
 
 ServiceManifest load_manifest(const std::string& dir) {
-  const std::string path = manifest_path(dir);
-  const std::string content = read_small_file(
-      path, "manifest_read", " (run `swarmfuzz serve` first)");
-  try {
-    return service_manifest_from_json(content);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("service: corrupt manifest at " + path + ": " +
-                             e.what());
-  }
-}
-
-bool all_leases_done(const std::string& dir, int num_leases) {
-  for (int k = 0; k < num_leases; ++k) {
-    std::error_code ec;
-    if (!std::filesystem::exists(
-            dir + "/lease-" + std::to_string(k) + ".done", ec)) {
-      return false;
-    }
-  }
-  return true;
+  return load_single(manifest_path(dir), service_manifest_from_json,
+                     " (run `swarmfuzz serve` first)");
 }
 
 bool service_complete(const std::string& dir, int num_missions,
@@ -282,21 +243,6 @@ void LeaseHeartbeat::loop() {
 
 namespace {
 
-TelemetryRecord shard_record(const CampaignConfig& config,
-                             const MissionOutcome& outcome, int lease_id) {
-  TelemetryRecord record;
-  record.mission_index = outcome.mission_index;
-  record.fuzzer = std::string{fuzzer_kind_name(config.kind)};
-  record.mission_seed = outcome.mission_seed;
-  record.wall_time_s = outcome.wall_time_s;
-  record.shard = lease_id;
-  record.result = outcome.result;
-  record.fault = outcome.fault;
-  record.fault_detail = outcome.fault_detail;
-  record.fault_attempts = outcome.fault_attempts;
-  return record;
-}
-
 // Mutable per-process chaos state: which plan entries have fired, and how
 // many EIO injections each mission still owes.
 struct ChaosState {
@@ -357,7 +303,6 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
   // workers do: each process is its own "worker", so auto eval threads
   // resolve to the whole machine. eval_threads never changes outcomes.
   const FuzzerConfig worker_fuzzer = worker_fuzzer_config(config.campaign, 1);
-  const std::string config_hash = campaign_config_hash(config.campaign);
 
   ShardWorkerStats stats;
   MissionRunner runner(config.campaign, worker_fuzzer);
@@ -368,7 +313,7 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
     // owner's torn tail, then skip every mission it already recorded. The
     // records are validated exactly like a resume checkpoint — a foreign
     // file must fail loudly, not seed a merged report.
-    heal_torn_tail(shard_path);
+    util::record_log::heal_torn_tail(shard_path);
     std::set<int> recorded;
     for (const TelemetryRecord& record : load_telemetry(shard_path)) {
       validate_checkpoint_record(record, config.campaign);
@@ -380,13 +325,7 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
       }
       recorded.insert(record.mission_index);
     }
-    // Quarantine dedup across reclaims, keyed like run_campaign's.
-    const std::string quarantine_path = shard_path + ".quarantine";
-    std::set<std::tuple<std::string, std::uint64_t, int>> quarantined;
-    for (const QuarantineRecord& record : load_quarantine(quarantine_path)) {
-      quarantined.emplace(record.config_hash, record.mission_seed,
-                          record.mission_index);
-    }
+    QuarantineLog quarantine(shard_path + ".quarantine", config.campaign);
 
     LeaseHeartbeat heartbeat(store, lease.lease_id);
     for (int index = lease.begin; index < lease.end; ++index) {
@@ -421,7 +360,7 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
         return;
       }
       const std::string line =
-          to_jsonl(shard_record(config.campaign, outcome, lease.lease_id));
+          to_jsonl(to_record(config.campaign, outcome, lease.lease_id));
       if (chaos.take(ChaosAction::Kind::kKill, index) != nullptr) {
         SWARMFUZZ_WARN("shard [{}]: chaos kill before recording mission {}",
                        config.owner, index);
@@ -450,25 +389,10 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
                                   std::to_string(index),
                               EIO);
         }
-        append_jsonl_line(shard_path, line);
+        util::record_log::append(shard_path, line);
       });
       ++stats.missions_run;
-      if (outcome.fault != sim::FaultKind::kNone &&
-          quarantined.emplace(config_hash, outcome.mission_seed, index).second) {
-        QuarantineRecord quarantine;
-        quarantine.mission_index = index;
-        quarantine.fuzzer = std::string{fuzzer_kind_name(config.campaign.kind)};
-        quarantine.mission_seed = outcome.mission_seed;
-        quarantine.config_hash = config_hash;
-        quarantine.fault = outcome.fault;
-        quarantine.detail = outcome.fault_detail;
-        quarantine.attempts = outcome.fault_attempts;
-        try {
-          append_jsonl_line(quarantine_path, to_jsonl(quarantine));
-        } catch (const std::exception& e) {
-          SWARMFUZZ_ERROR("shard: cannot write quarantine record: {}", e.what());
-        }
-      }
+      quarantine.record(outcome);
     }
     if (heartbeat.fenced()) {
       ++stats.leases_abandoned;
@@ -483,8 +407,8 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
   // is reloaded every scan so a coordinator's re-carves (retired parents,
   // fresh sub-leases) are picked up promptly. When nothing is claimable but
   // leases remain (validly held by live peers, or retired-but-unhealed),
-  // wait out a fraction of the TTL: done markers appear, claims expire, or
-  // the coordinator finishes the re-carve.
+  // wait at most one service poll and rescan: done markers appear, claims
+  // expire, or the coordinator finishes the re-carve.
   while (true) {
     const LeaseTable table = load_lease_table(
         config.dir, config.campaign.num_missions, config.num_leases);
@@ -514,7 +438,8 @@ ShardWorkerStats run_shard_worker(const ShardWorkerConfig& config) {
     }
     if (all_done) break;
     if (!claimed_any) {
-      sleep_ms(std::max<std::int64_t>(config.lease_ttl_ms / 4, 1));
+      sleep_ms(std::clamp<std::int64_t>(config.lease_ttl_ms / 4, 1,
+                                        kServicePollMs));
     }
   }
   return stats;
@@ -541,11 +466,11 @@ std::string to_jsonl(const HolesManifest& manifest) {
   }
   json.end_array();
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 HolesManifest holes_manifest_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   HolesManifest manifest;
   manifest.schema_version = root.at("v").as_int();
@@ -566,19 +491,12 @@ HolesManifest holes_manifest_from_json(std::string_view line) {
 std::string holes_path(const std::string& dir) { return dir + "/holes.json"; }
 
 void write_holes(const std::string& dir, const HolesManifest& manifest) {
-  util::write_file_atomic(holes_path(dir), to_jsonl(manifest) + "\n");
+  util::record_log::write_file_atomic(holes_path(dir), to_jsonl(manifest) + "\n");
 }
 
 HolesManifest load_holes(const std::string& dir) {
-  const std::string path = holes_path(dir);
-  const std::string content = read_small_file(
-      path, "holes_read", " (run `swarmfuzz merge --allow-partial` first)");
-  try {
-    return holes_manifest_from_json(content);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("service: corrupt holes manifest at " + path +
-                             ": " + e.what());
-  }
+  return load_single(holes_path(dir), holes_manifest_from_json,
+                     " (run `swarmfuzz merge --allow-partial` first)");
 }
 
 namespace {
@@ -647,16 +565,8 @@ int resume_holes(const std::string& dir, const ServiceManifest& manifest,
     // lost after the marker was written) are retired too: their remaining
     // records still merge, and the subs restore the missing coverage.
     if (!store.is_retired(lease.lease_id)) {
-      const std::string marker = recarved_marker_path(dir, lease.lease_id);
-      util::io_retrier().run("recarve_marker", [&] {
-        std::FILE* file = std::fopen(marker.c_str(), "wbx");
-        if (file != nullptr) {
-          std::fclose(file);
-          return;
-        }
-        if (errno == EEXIST) return;
-        throw util::IoError("resume-holes: cannot create " + marker, errno);
-      });
+      (void)util::record_log::create_exclusive(
+          recarved_marker_path(dir, lease.lease_id), "");
     }
     RecarveRecord record;
     record.parent = lease.lease_id;
@@ -664,7 +574,7 @@ int resume_holes(const std::string& dir, const ServiceManifest& manifest,
       record.subs.push_back(
           LeaseRange{.lease_id = next_id++, .begin = piece.begin, .end = piece.end});
     }
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+    util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
     store.fence_claim(lease.lease_id);
     created += static_cast<int>(record.subs.size());
     SWARMFUZZ_INFO("resume-holes: retired lease {} for {} hole range(s)",
@@ -682,7 +592,7 @@ int resume_holes(const std::string& dir, const ServiceManifest& manifest,
     }
   }
   if (!orphan.subs.empty()) {
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(orphan));
+    util::record_log::append(recarve_ledger_path(dir), to_jsonl(orphan));
     created += static_cast<int>(orphan.subs.size());
     SWARMFUZZ_INFO("resume-holes: {} orphaned hole range(s) re-leased",
                    static_cast<int>(orphan.subs.size()));

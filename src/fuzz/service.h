@@ -69,23 +69,23 @@ void write_manifest(const std::string& dir, const ServiceManifest& manifest);
 // Throws std::runtime_error when the manifest is missing or malformed.
 [[nodiscard]] ServiceManifest load_manifest(const std::string& dir);
 
-// True when every lease's done marker exists. Pre-re-carve view: only the
-// base carve's leases are checked. Prefer service_complete(), which folds in
-// the recarve ledger.
-[[nodiscard]] bool all_leases_done(const std::string& dir, int num_leases);
-
 // True when every *active* lease (base carve + recarve ledger, minus
 // retired) is done — the condition under which merge_shards covers every
 // mission index.
 [[nodiscard]] bool service_complete(const std::string& dir, int num_missions,
                                     int num_leases);
 
+// How often anything waiting on the service directory rescans it: the
+// wait_for_service default, and the longest idle wait of a shard worker
+// that found nothing to claim.
+inline constexpr std::int64_t kServicePollMs = 200;
+
 // Polls (every `poll_ms`) until the service completes or `timeout_ms`
 // elapses; returns whether completion was reached. timeout_ms <= 0 waits
 // forever.
 [[nodiscard]] bool wait_for_service(const std::string& dir, int num_missions,
                                     int num_leases, std::int64_t timeout_ms,
-                                    std::int64_t poll_ms = 200);
+                                    std::int64_t poll_ms = kServicePollMs);
 
 // --- Chaos harness ---------------------------------------------------------
 //

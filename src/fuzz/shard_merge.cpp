@@ -64,45 +64,14 @@ CampaignResult merge_shards(const CampaignConfig& config, const std::string& dir
   // lease id, so keep-first dedup is stable across runs and platforms.
   std::sort(shards.begin(), shards.end());
 
-  CampaignResult result;
-  result.config = config;
-  result.outcomes.resize(static_cast<std::size_t>(config.num_missions));
-  for (int i = 0; i < config.num_missions; ++i) {
-    result.outcomes[static_cast<std::size_t>(i)].mission_index = i;
-  }
-
+  CampaignResult result = empty_result(config);
   ShardMergeStats accounting;
   accounting.shard_files = static_cast<int>(shards.size());
   for (const auto& [id, path] : shards) {
     for (const TelemetryRecord& record : load_telemetry(path)) {
-      validate_checkpoint_record(record, config);
       ++accounting.records;
-      MissionOutcome& outcome =
-          result.outcomes[static_cast<std::size_t>(record.mission_index)];
-      MissionOutcome loaded;
-      loaded.mission_index = record.mission_index;
-      loaded.completed = true;
-      loaded.mission_seed = record.mission_seed;
-      loaded.wall_time_s = record.wall_time_s;
-      loaded.result = record.result;
-      loaded.fault = record.fault;
-      loaded.fault_detail = record.fault_detail;
-      loaded.fault_attempts = record.fault_attempts;
-      if (outcome.completed) {
-        // Keep-first duplicate (a reclaimed lease recorded the mission
-        // twice) — but only if the copies agree on every deterministic
-        // field; disagreement means the shard streams belong to different
-        // campaigns or a corrupted record slipped past its CRC.
-        if (!deterministic_equal(outcome, loaded)) {
-          throw std::runtime_error(
-              "merge_shards: mission " + std::to_string(record.mission_index) +
-              " has conflicting records across shard files (shard " +
-              std::to_string(id) + ")");
-        }
-        ++accounting.duplicates;
-        continue;
-      }
-      outcome = loaded;
+      // A duplicate is a reclaimed lease that recorded the mission twice.
+      if (!replay_record(result, record)) ++accounting.duplicates;
     }
   }
 

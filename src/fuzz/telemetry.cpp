@@ -1,67 +1,11 @@
 #include "fuzz/telemetry.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 
-#include "util/crc32.h"
 #include "util/json.h"
-#include "util/logging.h"
-#include "util/retry.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
-namespace {
-
-// --- CRC-32 record framing ------------------------------------------------
-//
-// The checksum is spliced in as the line's final member, so a framed line is
-// `{...,"crc":"xxxxxxxx"}` and the checksummed payload is the same line with
-// the crc member removed (i.e. what to_jsonl produced before framing). The
-// suffix is matched positionally — exactly at the end of the line — so a
-// `"crc"` substring inside a detail string can never be mistaken for it.
-
-constexpr std::string_view kCrcPrefix = ",\"crc\":\"";
-constexpr std::size_t kCrcHexLen = 8;
-// ,"crc":" + 8 hex digits + "}
-constexpr std::size_t kCrcSuffixLen = kCrcPrefix.size() + kCrcHexLen + 2;
-
-}  // namespace
-
-std::string frame_with_crc(std::string line) {
-  char hex[kCrcHexLen + 1];
-  std::snprintf(hex, sizeof hex, "%08x", util::crc32(line));
-  std::string member{kCrcPrefix};
-  member.append(hex, kCrcHexLen);
-  member.push_back('"');
-  line.insert(line.size() - 1, member);
-  return line;
-}
-
-void verify_crc_frame(std::string_view line) {
-  if (line.size() < kCrcSuffixLen ||
-      line.compare(line.size() - kCrcSuffixLen, kCrcPrefix.size(), kCrcPrefix) != 0 ||
-      line.compare(line.size() - 2, 2, "\"}") != 0) {
-    return;  // unframed legacy line; structural validity is the parser's job
-  }
-  const std::string_view hex =
-      line.substr(line.size() - kCrcHexLen - 2, kCrcHexLen);
-  std::uint32_t expected = 0;
-  for (const char ch : hex) {
-    const int digit = ch >= '0' && ch <= '9'   ? ch - '0'
-                      : ch >= 'a' && ch <= 'f' ? ch - 'a' + 10
-                                               : -1;
-    if (digit < 0) return;  // not a checksum after all (e.g. 8-char hash field)
-    expected = expected << 4 | static_cast<std::uint32_t>(digit);
-  }
-  const std::string_view body = line.substr(0, line.size() - kCrcSuffixLen);
-  const std::uint32_t actual =
-      util::crc32_final(util::crc32_update(util::crc32_update(util::crc32_init(), body), "}"));
-  if (actual != expected) {
-    throw std::invalid_argument("telemetry: record checksum mismatch");
-  }
-}
-
 namespace {
 
 using attack::direction_from_name;
@@ -265,11 +209,11 @@ std::string to_jsonl(const TelemetryRecord& record) {
     json.value(record.fault_attempts);
   }
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 TelemetryRecord telemetry_record_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   TelemetryRecord record;
   record.schema_version = root.at("v").as_int();
@@ -323,11 +267,11 @@ std::string to_jsonl(const QuarantineRecord& record) {
   json.key("attempts");
   json.value(record.attempts);
   json.end_object();
-  return frame_with_crc(json.str());
+  return util::record_log::frame(json.str());
 }
 
 QuarantineRecord quarantine_record_from_json(std::string_view line) {
-  verify_crc_frame(line);
+  util::record_log::check_frame(line);
   const util::JsonValue root = util::parse_json(line);
   QuarantineRecord record;
   record.mission_index = root.at("index").as_int();
@@ -340,157 +284,30 @@ QuarantineRecord quarantine_record_from_json(std::string_view line) {
   return record;
 }
 
-namespace {
-
-void append_jsonl_line_once(const std::string& path, std::string_view line) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    throw util::IoError("telemetry: cannot open " + path + " for append",
-                        errno);
-  }
-  std::string framed{line};
-  framed.push_back('\n');
-  const bool ok =
-      std::fwrite(framed.data(), 1, framed.size(), file) == framed.size() &&
-      std::fflush(file) == 0;
-  const int write_errno = errno;
-  const bool closed = std::fclose(file) == 0;
-  if (!ok) {
-    throw util::IoError("telemetry: short write to " + path, write_errno);
-  }
-  if (!closed) {
-    throw util::IoError("telemetry: cannot close " + path, errno);
-  }
-}
-
-}  // namespace
-
-void append_jsonl_line(const std::string& path, std::string_view line) {
-  // A failed attempt may have landed a prefix of the record (a torn,
-  // unterminated tail). Re-appending on top of it would glue two fragments
-  // into a corrupt *complete* line — unrecoverable — so every retry heals
-  // the tail back to a line boundary first.
-  bool retrying = false;
-  util::io_retrier().run("append_jsonl", [&] {
-    if (retrying) heal_torn_tail(path);
-    retrying = true;
-    append_jsonl_line_once(path, line);
-  });
-}
-
-void heal_torn_tail(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return;  // nothing to heal
-  std::string content;
-  char buffer[1 << 14];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    content.append(buffer, read);
-  }
-  std::fclose(file);
-  if (content.empty() || content.back() == '\n') return;
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep = last_newline == std::string::npos ? 0 : last_newline + 1;
-  SWARMFUZZ_WARN("telemetry: {} ends mid-record; truncating {} torn bytes",
-                 path, content.size() - keep);
-  std::error_code ec;
-  std::filesystem::resize_file(path, keep, ec);
-  if (ec) {
-    throw util::IoError("telemetry: cannot truncate torn tail of " + path +
-                            ": " + ec.message(),
-                        ec.value());
-  }
-}
-
 JsonlTelemetrySink::JsonlTelemetrySink(const std::string& path, bool append)
     : path_(path) {
-  if (append) heal_torn_tail(path);
-  file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("telemetry: cannot open " + path + " for writing");
+  // Both branches create the file, so an unwritable path fails here rather
+  // than on the first record.
+  if (!append) {
+    util::record_log::write_file_atomic(path, "");
+  } else {
+    util::record_log::heal_torn_tail(path);
+    (void)util::record_log::create_exclusive(path, "");
   }
-}
-
-JsonlTelemetrySink::~JsonlTelemetrySink() {
-  if (file_ != nullptr) std::fclose(file_);
 }
 
 void JsonlTelemetrySink::record(const TelemetryRecord& record) {
-  // Line + newline go out in one fwrite: a crash between two calls cannot
-  // leave a record without its terminator (the torn-write signature the
-  // loader heals) the way a separate fputc('\n') could.
-  std::string line = to_jsonl(record);
-  line.push_back('\n');
+  const std::string line = to_jsonl(record);
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fflush(file_);
+  util::record_log::append(path_, line);
 }
-
-std::vector<JsonlLine> read_jsonl_lines(const std::string& path) {
-  std::vector<JsonlLine> lines;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return lines;
-
-  std::string content;
-  char buffer[1 << 14];
-  std::size_t read = 0;
-  while ((read = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    content.append(buffer, read);
-  }
-  std::fclose(file);
-
-  std::size_t start = 0;
-  while (start < content.size()) {
-    std::size_t end = content.find('\n', start);
-    const bool complete_line = end != std::string::npos;
-    if (!complete_line) end = content.size();
-    if (end > start) {
-      lines.push_back(JsonlLine{content.substr(start, end - start), complete_line});
-    }
-    start = end + 1;
-  }
-  return lines;
-}
-
-namespace {
-
-// Shared JSONL replay loop: parses each line with `parse`, pushing results
-// into `records`. Torn final line → warn + skip; corrupt complete line →
-// throw (resuming past it would silently drop missions).
-template <typename Record, typename Parse>
-std::vector<Record> load_jsonl(const std::string& path, Parse parse) {
-  std::vector<Record> records;
-  for (const JsonlLine& line : read_jsonl_lines(path)) {
-    try {
-      records.push_back(parse(std::string_view{line.text}));
-    } catch (const std::exception& e) {
-      // Records never contain a raw newline, so a crash mid-write can only
-      // tear the newline-terminated suffix of the file: a malformed final
-      // line without '\n' is the expected crash signature and is skipped.
-      // A malformed *complete* line means the file is corrupt, and resuming
-      // from it would silently drop missions.
-      if (line.complete) {
-        throw std::runtime_error("telemetry: corrupt record in " + path + ": " +
-                                 e.what());
-      }
-      SWARMFUZZ_WARN(
-          "telemetry: skipping torn final record in {} ({} bytes): {}", path,
-          line.text.size(), e.what());
-    }
-  }
-  return records;
-}
-
-}  // namespace
 
 std::vector<TelemetryRecord> load_telemetry(const std::string& path) {
-  return load_jsonl<TelemetryRecord>(
-      path, [](std::string_view line) { return telemetry_record_from_json(line); });
+  return util::record_log::load(path, telemetry_record_from_json);
 }
 
 std::vector<QuarantineRecord> load_quarantine(const std::string& path) {
-  return load_jsonl<QuarantineRecord>(
-      path, [](std::string_view line) { return quarantine_record_from_json(line); });
+  return util::record_log::load(path, quarantine_record_from_json);
 }
 
 }  // namespace swarmfuzz::fuzz

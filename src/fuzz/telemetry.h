@@ -5,11 +5,9 @@
 //      outcome (seed, fuzzer, status, fault, iterations, simulations,
 //      wall-clock) streams to a JSONL sink as it completes.
 //   2. Durability — when `CampaignConfig.checkpoint_path` is set the same
-//      records double as a crash-safe checkpoint: each line is written and
-//      flushed in a single call, carries a CRC-32 of its own payload (a
-//      trailing `"crc"` member), and a killed campaign resumes by replaying
-//      the file and running only the missing mission indices. A torn final
-//      line — the crash signature — is detected by the framing and skipped.
+//      records double as a crash-safe checkpoint (util/record_log.h), and a
+//      killed campaign resumes by replaying the file and running only the
+//      missing mission indices.
 //
 // Serialization is exact: doubles are written with %.17g (see
 // JsonWriter::value_exact) so a record parsed back reconstructs the
@@ -18,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -53,9 +50,8 @@ struct TelemetryRecord {
   int fault_attempts = 0;         // fault retries consumed on this mission
 };
 
-// One JSONL line (no trailing newline), CRC-framed: the final member is
-// `"crc":"<8 lowercase hex>"`, the CRC-32 of the line with that member
-// removed. Doubles round-trip exactly.
+// One CRC-framed JSONL line (no trailing newline). Doubles round-trip
+// exactly.
 [[nodiscard]] std::string to_jsonl(const TelemetryRecord& record);
 
 // Parses one JSONL line. Lines without a crc member (written before framing
@@ -84,30 +80,6 @@ struct QuarantineRecord {
 // as load_telemetry. A missing file yields an empty vector.
 [[nodiscard]] std::vector<QuarantineRecord> load_quarantine(const std::string& path);
 
-// Appends one line + '\n' to `path` in a single flushed write, creating the
-// file if needed. Transient failures retry with backoff through
-// util::io_retrier(), healing any torn tail the failed attempt left before
-// re-appending; throws util::IoError once retries are exhausted or the
-// error is permanent.
-void append_jsonl_line(const std::string& path, std::string_view line);
-
-// CRC-32 record framing, shared by every durable JSONL stream (telemetry,
-// checkpoints, quarantine, work leases). frame_with_crc splices the checksum
-// in as the line's final member — `{...}` becomes `{...,"crc":"xxxxxxxx"}`,
-// where the checksum covers the unframed line — so `line` must be a
-// single-line JSON object. verify_crc_frame validates the trailing member
-// when present (unframed legacy lines pass through) and throws
-// std::invalid_argument on mismatch.
-[[nodiscard]] std::string frame_with_crc(std::string line);
-void verify_crc_frame(std::string_view line);
-
-// Truncates an unterminated final line (a write the previous process never
-// finished) so appending resumes on a line boundary. Without this, the next
-// append would glue a fresh record onto the torn fragment, turning the
-// recoverable crash signature into an unrecoverable corrupt complete line.
-// A missing file is a no-op.
-void heal_torn_tail(const std::string& path);
-
 // Receives completed-mission records; implementations must be thread-safe
 // (campaign workers call record() concurrently).
 class TelemetrySink {
@@ -116,21 +88,15 @@ class TelemetrySink {
   virtual void record(const TelemetryRecord& record) = 0;
 };
 
-// Thread-safe JSONL file sink. Every record() appends one line + newline in
-// a single fwrite and flushes, so a crash loses at most the line being
-// written — never a completed one. Opening in append mode first heals a
-// torn tail: an unterminated final line (the previous process died
-// mid-write) is truncated away so the next append starts on a line boundary
-// instead of corrupting a complete line.
+// Thread-safe JSONL file sink: every record() is one checked append
+// (util::record_log::append), so a crash loses at most the line being
+// written and a failed write throws util::IoError instead of vanishing.
 class JsonlTelemetrySink final : public TelemetrySink {
  public:
-  // Opens `path` for writing; `append` keeps existing records (resume),
-  // otherwise the file is truncated. Throws std::runtime_error on failure.
+  // Creates `path`; `append` keeps existing records (resume) after healing
+  // a torn tail, otherwise the file is truncated. Throws util::IoError on
+  // failure.
   explicit JsonlTelemetrySink(const std::string& path, bool append = true);
-  ~JsonlTelemetrySink() override;
-
-  JsonlTelemetrySink(const JsonlTelemetrySink&) = delete;
-  JsonlTelemetrySink& operator=(const JsonlTelemetrySink&) = delete;
 
   void record(const TelemetryRecord& record) override;
 
@@ -139,25 +105,12 @@ class JsonlTelemetrySink final : public TelemetrySink {
  private:
   std::string path_;
   std::mutex mutex_;
-  std::FILE* file_ = nullptr;
 };
 
-// Loads every well-formed record from a JSONL file. A malformed or
-// incomplete *last* line (the write a crash interrupted) is skipped with a
-// warning; a malformed line elsewhere — including a CRC mismatch — throws
-// std::runtime_error. A missing file yields an empty vector.
+// Loads every record from a JSONL file under the util::record_log policy:
+// a torn final line is skipped with a warning, a corrupt complete line
+// (including a CRC mismatch) throws std::runtime_error. A missing file
+// yields an empty vector.
 [[nodiscard]] std::vector<TelemetryRecord> load_telemetry(const std::string& path);
-
-// Raw line replay shared by the durable JSONL loaders (telemetry,
-// quarantine, the E_Fuzz corpus): every line of `path` without its
-// terminator, in file order. An unterminated final line — the torn-write
-// crash signature — is returned with `complete = false` so callers can
-// apply the skip-torn-tail / throw-on-corrupt-complete-line policy. A
-// missing file yields an empty vector.
-struct JsonlLine {
-  std::string text;
-  bool complete = true;
-};
-[[nodiscard]] std::vector<JsonlLine> read_jsonl_lines(const std::string& path);
 
 }  // namespace swarmfuzz::fuzz

@@ -15,6 +15,7 @@
 #include "fuzz/service.h"
 #include "fuzz/shard_merge.h"
 #include "fuzz/telemetry.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -46,7 +47,7 @@ void append_stub_record(const std::string& dir, int lease_id, int index) {
   record.mission_index = index;
   record.fuzzer = "swarmfuzz";
   record.shard = lease_id;
-  append_jsonl_line(shard_telemetry_path(dir, lease_id), to_jsonl(record));
+  util::record_log::append(shard_telemetry_path(dir, lease_id), to_jsonl(record));
 }
 
 CoordinatorConfig coordinator_config(const std::string& dir,
@@ -302,7 +303,7 @@ TEST(CoordinatorEndToEnd, HungStragglerIsRescuedAndMergeIsBitIdentical) {
   for (int mission = 0; mission < 2; ++mission) {
     now += 100;
     ASSERT_TRUE(victim.renew(0));
-    append_jsonl_line(shard_telemetry_path(dir, 0), to_jsonl(ref_records[mission]));
+    util::record_log::append(shard_telemetry_path(dir, 0), to_jsonl(ref_records[mission]));
     (void)coordinator.tick();
   }
   int ticks = 0;

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "fuzz/telemetry.h"
+#include "util/record_log.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -195,7 +196,7 @@ TEST(LeaseStore, TornRenewalFallsBackToLastValidRecord) {
   LeaseStore bob(dir, 1000, "bob", clock);
   ASSERT_TRUE(alice.try_claim(0));
   // SIGKILL mid-renew: an unterminated fragment lands after the valid claim.
-  append_jsonl_line(dir + "/lease-0.claim", R"({"v":1,"lease":0,"owner":"al)");
+  util::record_log::append(dir + "/lease-0.claim", R"({"v":1,"lease":0,"owner":"al)");
   // The torn line is ignored; alice's original claim still governs.
   EXPECT_TRUE(alice.holds(0));
   EXPECT_FALSE(bob.try_claim(0));
@@ -208,11 +209,33 @@ TEST(LeaseStore, TornOnlyClaimFileIsReclaimable) {
   std::int64_t now = 0;
   // A claimant that died before its first record landed: the file exists but
   // holds no valid record — a dead claimant, immediately reclaimable.
-  append_jsonl_line(dir + "/lease-0.claim", "garbage, not json");
+  util::record_log::append(dir + "/lease-0.claim", "garbage, not json");
   LeaseStore bob(dir, 1000, "bob", [&now] { return now; });
   EXPECT_TRUE(bob.try_claim(0));
   EXPECT_TRUE(bob.holds(0));
   EXPECT_TRUE(has_dead_claim(dir, 0));
+}
+
+TEST(LeaseStore, PeerClaimingMidPublishNeverDoubleClaims) {
+  // The hook fires inside alice's claim, just before her claim file becomes
+  // visible: bob claiming then must not find an empty file, mistake it for a
+  // dead claimant and reclaim it — that would let both run the lease.
+  const std::string dir = service_dir("claim_race");
+  std::int64_t now = 0;
+  const auto clock = [&now] { return now; };
+  LeaseStore alice(dir, 1000, "alice", clock);
+  LeaseStore bob(dir, 1000, "bob", clock);
+  int bob_calls = 0;
+  bool bob_won = false;
+  alice.set_append_hook_for_test([&] {
+    if (bob_calls++ == 0) bob_won = bob.try_claim(0);
+  });
+  const bool alice_won = alice.try_claim(0);
+  EXPECT_EQ(bob_calls, 1);
+  EXPECT_LE(static_cast<int>(alice_won) + static_cast<int>(bob_won), 1);
+  EXPECT_FALSE(has_dead_claim(dir, 0));
+  EXPECT_EQ(alice.holds(0), alice_won);
+  EXPECT_EQ(bob.holds(0), bob_won);
 }
 
 TEST(LeaseStore, ShardTelemetryPathNamesLease) {
@@ -324,7 +347,7 @@ TEST(RecarveLedger, TornFinalLineIsSkipped) {
   RecarveRecord record;
   record.parent = 0;
   record.subs = {LeaseRange{.lease_id = 2, .begin = 3, .end = 6}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
   {
     // Coordinator died mid-append: an unterminated fragment follows.
     std::FILE* file = std::fopen(recarve_ledger_path(dir).c_str(), "ab");
@@ -337,7 +360,7 @@ TEST(RecarveLedger, TornFinalLineIsSkipped) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].parent, 0);
   // A corrupt *complete* line is real corruption, not a crash signature.
-  append_jsonl_line(recarve_ledger_path(dir), "garbage, not json");
+  util::record_log::append(recarve_ledger_path(dir), "garbage, not json");
   EXPECT_THROW((void)load_recarve_ledger(recarve_ledger_path(dir)),
                std::runtime_error);
 }
@@ -358,7 +381,7 @@ TEST(LeaseTable, LedgerRetiresParentAndAddsSubs) {
   record.parent = 1;
   record.subs = {LeaseRange{.lease_id = 2, .begin = 7, .end = 8},
                  LeaseRange{.lease_id = 3, .begin = 8, .end = 10}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
   const LeaseTable table = load_lease_table(dir, 10, 2);
   ASSERT_EQ(table.active.size(), 3u);  // lease 0 plus the two subs
   EXPECT_EQ(table.active[0].lease_id, 0);
@@ -372,7 +395,7 @@ TEST(LeaseTable, LedgerRetiresParentAndAddsSubs) {
   RecarveRecord again;
   again.parent = 3;
   again.subs = {LeaseRange{.lease_id = 4, .begin = 9, .end = 10}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(again));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(again));
   const LeaseTable deeper = load_lease_table(dir, 10, 2);
   ASSERT_EQ(deeper.active.size(), 3u);
   EXPECT_EQ(deeper.active[2].lease_id, 4);
@@ -387,8 +410,8 @@ TEST(LeaseTable, DuplicateRetirementIsKeepFirst) {
   RecarveRecord second;  // heal pass re-appended; must be ignored
   second.parent = 0;
   second.subs = {LeaseRange{.lease_id = 3, .begin = 0, .end = 5}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(first));
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(second));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(first));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(second));
   const LeaseTable table = load_lease_table(dir, 10, 2);
   ASSERT_EQ(table.active.size(), 2u);  // lease 1 and sub 2 — not 3
   EXPECT_EQ(table.active[0].lease_id, 1);
@@ -401,7 +424,7 @@ TEST(LeaseTable, RejectsCorruptLedgers) {
     RecarveRecord record;
     record.parent = 0;
     record.subs = {LeaseRange{.lease_id = 1, .begin = 0, .end = 5}};
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+    util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
     EXPECT_THROW((void)load_lease_table(dir, 10, 2), std::runtime_error);
   }
   {  // invalid sub range
@@ -409,7 +432,7 @@ TEST(LeaseTable, RejectsCorruptLedgers) {
     RecarveRecord record;
     record.parent = 0;
     record.subs = {LeaseRange{.lease_id = 2, .begin = 6, .end = 6}};
-    append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+    util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
     EXPECT_THROW((void)load_lease_table(dir, 10, 2), std::runtime_error);
   }
 }

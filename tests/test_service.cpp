@@ -17,6 +17,7 @@
 #include "fuzz/shard_merge.h"
 #include "fuzz/telemetry.h"
 #include "sim/simulator.h"
+#include "util/record_log.h"
 #include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
@@ -100,15 +101,12 @@ TEST(ServiceManifest, LoadWithoutServeFailsWithHint) {
 
 TEST(ServiceLeases, DoneMarkersGateCompletion) {
   const std::string dir = service_dir("done_markers");
-  EXPECT_FALSE(all_leases_done(dir, 2));
   EXPECT_FALSE(service_complete(dir, 8, 2));
   EXPECT_FALSE(wait_for_service(dir, 8, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
   LeaseStore store(dir, 1000, "alice");
   store.mark_done(0);
-  EXPECT_FALSE(all_leases_done(dir, 2));
   EXPECT_FALSE(service_complete(dir, 8, 2));
   store.mark_done(1);
-  EXPECT_TRUE(all_leases_done(dir, 2));
   EXPECT_TRUE(service_complete(dir, 8, 2));
   EXPECT_TRUE(wait_for_service(dir, 8, 2, /*timeout_ms=*/50, /*poll_ms=*/5));
 }
@@ -135,7 +133,7 @@ TEST(ShardWorker, SingleWorkerCompletesServiceAndMergesBitIdentical) {
   EXPECT_EQ(stats.leases_abandoned, 0);
   EXPECT_EQ(stats.missions_run, campaign.num_missions);
   EXPECT_EQ(stats.missions_resumed, 0);
-  EXPECT_TRUE(all_leases_done(dir, 3));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 3));
 
   // Each shard stream is stamped with its lease id and covers its range.
   const auto leases = carve_leases(campaign.num_missions, 3);
@@ -208,8 +206,8 @@ TEST(ShardWorker, ReclaimResumesKilledWorkersPartialShard) {
   LeaseStore victim(dir, 1000, "victim", [&now] { return now; });
   ASSERT_TRUE(victim.try_claim(0));
   const std::string shard_path = shard_telemetry_path(dir, 0);
-  append_jsonl_line(shard_path, to_jsonl(ref_records[0]));
-  append_jsonl_line(shard_path, to_jsonl(ref_records[1]));
+  util::record_log::append(shard_path, to_jsonl(ref_records[0]));
+  util::record_log::append(shard_path, to_jsonl(ref_records[1]));
   {
     std::FILE* file = std::fopen(shard_path.c_str(), "ab");
     ASSERT_NE(file, nullptr);
@@ -235,7 +233,7 @@ TEST(ShardWorker, ReclaimResumesKilledWorkersPartialShard) {
   EXPECT_EQ(stats.missions_resumed, 2);
   EXPECT_EQ(stats.missions_run, campaign.num_missions - 2);
   EXPECT_EQ(stats.leases_abandoned, 0);
-  EXPECT_TRUE(all_leases_done(dir, 1));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 1));
 
   // No mission lost, none duplicated, and the merged report is bit-identical
   // to a single-process campaign.
@@ -276,9 +274,44 @@ TEST(ShardWorker, WaitsOutLiveClaimThenReclaimsExpired) {
   EXPECT_GE(sleeps, 1);  // it did wait on the blocker's valid claim
   EXPECT_EQ(stats.leases_claimed, 2);
   EXPECT_EQ(stats.missions_run, campaign.num_missions);
-  EXPECT_TRUE(all_leases_done(dir, 2));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 2));
   EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
                                   run_campaign(campaign)));
+}
+
+TEST(ShardWorker, IdleWaitsAreBoundedByTheServicePoll) {
+  const std::string dir = service_dir("idle_poll");
+  const CampaignConfig campaign = small_campaign(2);
+
+  // A live peer holds the only lease under the default TTL. Idle waits must
+  // stay within one service poll, and the worker must return on the scan
+  // right after the peer's done marker appears.
+  std::int64_t now = 0;
+  const auto clock = [&now] { return now; };
+  ShardWorkerConfig worker;
+  worker.campaign = campaign;
+  worker.dir = dir;
+  worker.num_leases = 1;
+  worker.owner = "idle";
+  worker.clock = clock;
+  LeaseStore peer(dir, worker.lease_ttl_ms, "peer", clock);
+  ASSERT_TRUE(peer.try_claim(0));
+
+  std::vector<std::int64_t> sleeps;
+  worker.sleep_ms = [&](std::int64_t ms) {
+    sleeps.push_back(ms);
+    now += ms;
+    if (sleeps.size() == 3) peer.mark_done(0);
+  };
+  const ShardWorkerStats stats = run_shard_worker(worker);
+
+  EXPECT_EQ(sleeps.size(), 3u);
+  for (const std::int64_t ms : sleeps) {
+    EXPECT_GE(ms, 1);
+    EXPECT_LE(ms, kServicePollMs);
+  }
+  EXPECT_EQ(stats.leases_claimed, 0);
+  EXPECT_EQ(stats.missions_run, 0);
 }
 
 TEST(ShardWorker, QuarantineIsDedupedAcrossReclaim) {
@@ -309,7 +342,7 @@ TEST(ShardWorker, QuarantineIsDedupedAcrossReclaim) {
   const auto records = load_telemetry(shard_path);
   ASSERT_GE(records.size(), 2u);
   std::filesystem::remove(shard_path);
-  append_jsonl_line(shard_path, to_jsonl(records[0]));
+  util::record_log::append(shard_path, to_jsonl(records[0]));
   std::filesystem::remove(dir + "/lease-0.claim");
   std::filesystem::remove(dir + "/lease-0.done");
 
@@ -342,7 +375,7 @@ TEST(ShardWorker, ThreeConcurrentWorkersMergeBitIdenticalPointMass) {
   int total_run = 0;
   for (const ShardWorkerStats& s : stats) total_run += s.missions_run;
   EXPECT_EQ(total_run, campaign.num_missions);  // no duplicated work
-  EXPECT_TRUE(all_leases_done(dir, 3));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 3));
 
   ShardMergeStats merge_stats;
   const CampaignResult merged =
@@ -511,7 +544,7 @@ TEST(ChaosShardWorker, HungWorkerIsFencedOffAndRecoversTheLease) {
   // The worker abandoned the hang, re-claimed the lease (its chaos entry
   // already spent) and finished the campaign.
   EXPECT_GE(stats.leases_abandoned, 1);
-  EXPECT_TRUE(all_leases_done(dir, 1));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 1));
   EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
                                   run_campaign(campaign)));
 }
@@ -663,7 +696,7 @@ TEST(ResumeHoles, OrphanedHolesGetParentlessLeases) {
   RecarveRecord record;
   record.parent = 0;
   record.subs = {LeaseRange{.lease_id = 2, .begin = 2, .end = 3}};
-  append_jsonl_line(recarve_ledger_path(dir), to_jsonl(record));
+  util::record_log::append(recarve_ledger_path(dir), to_jsonl(record));
 
   ServiceManifest manifest;
   manifest.config_hash = "cafe";
@@ -715,7 +748,7 @@ TEST(ShardWorker, ThreeConcurrentWorkersMergeBitIdenticalQuadrotor) {
   }
   for (std::thread& worker : workers) worker.join();
 
-  EXPECT_TRUE(all_leases_done(dir, 2));
+  EXPECT_TRUE(service_complete(dir, campaign.num_missions, 2));
   EXPECT_TRUE(deterministic_equal(merge_shards(campaign, dir),
                                   run_campaign(campaign)));
 }

@@ -11,6 +11,8 @@
 #include <thread>
 
 #include "fuzz/campaign.h"
+#include "util/record_log.h"
+#include "util/retry.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -213,8 +215,8 @@ TEST(Telemetry, QuarantineRecordRoundTrips) {
 
   const std::string path = temp_path("quarantine.jsonl");
   std::remove(path.c_str());
-  append_jsonl_line(path, line);
-  append_jsonl_line(path, line);
+  util::record_log::append(path, line);
+  util::record_log::append(path, line);
   EXPECT_EQ(load_quarantine(path).size(), 2u);
   std::remove(path.c_str());
 }
@@ -261,6 +263,17 @@ TEST(Telemetry, SinkIsThreadSafe) {
   // Interleaved writers must still produce 100 individually parseable lines.
   EXPECT_EQ(load_telemetry(path).size(), 100u);
   std::remove(path.c_str());
+}
+
+TEST(Telemetry, SinkRecordThrowsWhenItsFileIsGone) {
+  // The checkpoint's directory vanishes mid-campaign: record() must fail
+  // loudly instead of writing into an unlinked inode.
+  const std::filesystem::path dir = temp_path("gone_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  JsonlTelemetrySink sink((dir / "ckpt.jsonl").string(), /*append=*/false);
+  std::filesystem::remove_all(dir);
+  EXPECT_THROW(sink.record(sample_record()), util::IoError);
 }
 
 TEST(Telemetry, LoadSkipsTornTrailingLine) {
@@ -465,6 +478,33 @@ TEST(Checkpoint, MismatchedCampaignIsRejected) {
   config.max_new_missions = 0;
   const CampaignResult resumed = run_campaign(config);
   EXPECT_EQ(resumed.num_completed(), config.num_missions);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ConflictingDuplicateRecordsAreRejected) {
+  const std::string path = temp_path("conflict.jsonl");
+  std::remove(path.c_str());
+
+  CampaignConfig config = checkpoint_campaign();
+  config.checkpoint_path = path;
+  config.max_new_missions = 2;
+  (void)run_campaign(config);
+  const auto records = load_telemetry(path);
+  ASSERT_EQ(records.size(), 2u);
+
+  // A second, validly framed record for the same mission that disagrees on
+  // a deterministic field: the records cannot come from one campaign.
+  TelemetryRecord conflicting = records.front();
+  conflicting.result.iterations += 1;
+  util::record_log::append(path, to_jsonl(conflicting));
+  std::ifstream before_in(path);
+  const std::string before{std::istreambuf_iterator<char>(before_in), {}};
+
+  config.max_new_missions = 0;
+  EXPECT_THROW((void)run_campaign(config), std::runtime_error);
+  // Rejected before truncation: the checkpoint is untouched.
+  std::ifstream after_in(path);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(after_in), {}), before);
   std::remove(path.c_str());
 }
 
