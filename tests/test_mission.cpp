@@ -1,5 +1,7 @@
 #include "sim/mission.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace swarmfuzz::sim {
@@ -84,16 +86,22 @@ TEST(Mission, MissionAxisIsUnitTowardDestination) {
 
 // Property sweep: invariants hold across seeds and sizes (paper section V-A:
 // spawn within 0-50 m, pairwise separation respected, obstacle on-path).
+// gtest prints this struct byte by byte into the ctest test names, so it must
+// have no padding bytes: padding would leak indeterminate stack bytes into the
+// names and change them from one build to the next. A 64-bit drone count fills
+// the slot the padding took and prints the same bytes as an int plus zeroes.
 struct MissionSweepParam {
-  int num_drones;
+  std::int64_t num_drones;
   std::uint64_t seed;
 };
+static_assert(sizeof(MissionSweepParam) == 2 * sizeof(std::uint64_t),
+              "MissionSweepParam must have no padding bytes");
 
 class MissionSweep : public ::testing::TestWithParam<MissionSweepParam> {};
 
 TEST_P(MissionSweep, GeneratorInvariants) {
   MissionConfig config;
-  config.num_drones = GetParam().num_drones;
+  config.num_drones = static_cast<int>(GetParam().num_drones);
   const MissionSpec mission = generate_mission(config, GetParam().seed);
 
   ASSERT_EQ(mission.num_drones(), config.num_drones);
