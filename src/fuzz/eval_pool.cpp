@@ -51,15 +51,11 @@ EvalPool::EvalPool(const sim::SimulationConfig& sim,
     : sim_config_(sim),
       controller_(std::move(controller)),
       comm_(comm),
-      threads_(std::max(threads, 1)) {
-  if (controller_ == nullptr) {
-    throw std::invalid_argument("EvalPool: controller must not be null");
-  }
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<std::size_t>(threads_));
-    for (int i = 0; i < threads_; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
+      threads_(std::max(threads, 1)),
+      caller_lane_(sim_config_, controller_, comm_) {  // rejects a null controller
+  workers_.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int i = 1; i < threads_; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -74,54 +70,49 @@ EvalPool::~EvalPool() {
   }
 }
 
-std::vector<EvalPool::JobResult> EvalPool::evaluate(const BatchContext& context,
-                                                    std::span<const Job> jobs) {
-  if (jobs.empty()) {
-    return {};
-  }
-  if (workers_.empty()) {
-    // Single-threaded pool: run inline on the caller with a per-call clone.
-    // Objective skips the pool entirely in this configuration, so this path
-    // only serves direct (test) callers.
-    std::vector<JobResult> results(jobs.size());
-    const sim::Simulator simulator(sim_config_);
-    swarm::FlockingControlSystem system(controller_, comm_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      run_job(simulator, system, context, jobs[i], results[i]);
+std::vector<EvalPool::JobResult> EvalPool::evaluate(
+    std::span<const BatchContext> contexts, std::span<const Job> jobs) {
+  for (const Job& job : jobs) {
+    if (job.context >= contexts.size()) {
+      throw std::invalid_argument("EvalPool: job names a context out of range");
     }
+  }
+  std::vector<JobResult> results(jobs.size());
+  if (jobs.empty()) {
     return results;
   }
-
-  std::unique_lock lock(mutex_);
-  results_.assign(jobs.size(), JobResult{});
-  context_ = &context;
-  jobs_ = jobs.data();
-  num_jobs_ = jobs.size();
-  next_.store(0, std::memory_order_relaxed);
-  // Count down *workers*, not jobs: a worker reports only after it has
-  // drained the claim cursor, so once every worker has reported, no thread
-  // can touch this batch's cursor or results again — making it safe to
-  // reset them for the next batch.
-  remaining_ = workers_.size();
-  ++generation_;
+  {
+    const std::lock_guard lock(mutex_);
+    contexts_ = contexts;
+    jobs_ = jobs;
+    results_ = results.data();
+    next_.store(0, std::memory_order_relaxed);
+    // Count down *workers*, not jobs: a worker reports only after it has
+    // drained the claim cursor, so once every worker has reported, no
+    // thread can touch this batch's cursor or results again — making it
+    // safe to reset them for the next batch.
+    remaining_ = workers_.size();
+    ++generation_;
+  }
   work_ready_.notify_all();
+  // Lane 0: the caller claims jobs alongside the workers rather than
+  // sleeping until they finish (and with one thread runs them all).
+  drain(caller_lane_, contexts, jobs, results.data());
+  std::unique_lock lock(mutex_);
   batch_done_.wait(lock, [this] { return remaining_ == 0; });
-  context_ = nullptr;
-  jobs_ = nullptr;
-  num_jobs_ = 0;
-  return std::move(results_);
+  contexts_ = {};
+  jobs_ = {};
+  results_ = nullptr;
+  return results;
 }
 
 void EvalPool::worker_loop() {
-  // Per-worker clones of the only mutable simulation state; everything the
-  // jobs share (mission, prefix cache, guards) is read-only.
-  const sim::Simulator simulator(sim_config_);
-  swarm::FlockingControlSystem system(controller_, comm_);
+  Lane lane(sim_config_, controller_, comm_);
   std::uint64_t seen = 0;
   for (;;) {
-    const BatchContext* context = nullptr;
-    const Job* jobs = nullptr;
-    std::size_t num_jobs = 0;
+    std::span<const BatchContext> contexts;
+    std::span<const Job> jobs;
+    JobResult* results = nullptr;
     {
       std::unique_lock lock(mutex_);
       work_ready_.wait(lock, [&] { return stop_ || generation_ != seen; });
@@ -129,17 +120,11 @@ void EvalPool::worker_loop() {
         return;
       }
       seen = generation_;
-      context = context_;
+      contexts = contexts_;
       jobs = jobs_;
-      num_jobs = num_jobs_;
+      results = results_;
     }
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_jobs) {
-        break;
-      }
-      run_job(simulator, system, *context, jobs[i], results_[i]);
-    }
+    drain(lane, contexts, jobs, results);
     {
       const std::lock_guard lock(mutex_);
       if (--remaining_ == 0) {
@@ -149,22 +134,29 @@ void EvalPool::worker_loop() {
   }
 }
 
-void EvalPool::run_job(const sim::Simulator& simulator,
-                       swarm::FlockingControlSystem& system,
-                       const BatchContext& context, const Job& job,
-                       JobResult& out) noexcept {
-  try {
-    const AttackEvalOutcome result =
-        evaluate_attack(*context.mission, simulator, system, context.seed,
-                        context.spoof_distance, context.prefix, context.guards,
-                        job.t_start, job.duration);
-    out.eval = result.eval;
-    out.steps_executed = result.steps_executed;
-    out.steps_resumed = result.steps_resumed;
-  } catch (...) {
-    // Captured, not thrown: the Objective replays outcomes in submission
-    // order and rethrows this at the job's serial position.
-    out.error = std::current_exception();
+void EvalPool::drain(Lane& lane, std::span<const BatchContext> contexts,
+                     std::span<const Job> jobs, JobResult* results) noexcept {
+  for (;;) {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= jobs.size()) {
+      return;
+    }
+    const Job& job = jobs[i];
+    const BatchContext& context = contexts[job.context];
+    JobResult& out = results[i];
+    try {
+      const AttackEvalOutcome result = evaluate_attack(
+          *context.mission, lane.simulator, lane.system, context.seed,
+          context.spoof_distance, context.prefix, context.guards, job.t_start,
+          job.duration);
+      out.eval = result.eval;
+      out.steps_executed = result.steps_executed;
+      out.steps_resumed = result.steps_resumed;
+    } catch (...) {
+      // Captured, not thrown: the Objective replays outcomes in submission
+      // order and rethrows this at the job's serial position.
+      out.error = std::current_exception();
+    }
   }
 }
 

@@ -1,27 +1,35 @@
 // Deterministic parallel evaluation engine for the fuzzing search.
 //
-// The gradient search submits its independent simulations — the multi-start
-// candidates and each iteration's FD stencil — as batches; the pool fans a
-// batch out over worker threads and hands every outcome back in job order.
-// Each worker owns its own Simulator + FlockingControlSystem clone (the only
-// mutable per-run state), and all workers resume from the same read-only
-// PrefixCache, so a batch's simulations are bit-identical to the serial
-// runs they replace. Determinism is then the *caller's* contract: Objective
-// replays pool outcomes in submission order and commits (memo, counters)
-// only the prefix a serial run would have consumed (see objective.h).
+// The searches submit their independent simulations as batches: the
+// gradient search its multi-start candidates and each iteration's FD
+// stencil, E_Fuzz a whole round of mutants across (target, victim,
+// direction) groups. Every job names the BatchContext (mission, seed,
+// spoofing distance, prefix cache, guards) it runs against, so one batch
+// may mix seeds. The pool has `threads` lanes: `threads - 1` persistent
+// workers plus the calling thread as lane 0, which drains the same claim
+// cursor instead of sleeping until the workers are done (with one thread
+// the caller runs every job and no worker exists). Each lane owns its own
+// Simulator + FlockingControlSystem clone (the only mutable per-run state),
+// and all lanes resume from the same read-only PrefixCache, so a batch's
+// simulations are bit-identical to the serial runs they replace.
+// Determinism is then the *caller's* contract: Objective replays pool
+// outcomes in submission order and commits (memo, counters) only the
+// prefix a serial run would have consumed (see objective.h).
 //
 // This is the find-then-batch shape CGF engines use to saturate cores
-// (AFL's fork-server/persistent modes); PR 3's prefix reuse made each
-// evaluation cheap, the pool makes independent evaluations concurrent.
+// (AFL's fork-server/persistent modes): prefix reuse makes each evaluation
+// cheap, the pool makes independent evaluations concurrent.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fuzz/objective.h"
@@ -67,10 +75,12 @@ struct ThreadBudget {
 
 class EvalPool {
  public:
-  // One (already projected) candidate of a batch.
+  // One (already projected) candidate of a batch, run against
+  // `contexts[context]` of its evaluate() call.
   struct Job {
     double t_start = 0.0;
     double duration = 0.0;
+    std::size_t context = 0;
   };
 
   // Outcome of one job: either an evaluation plus its step accounting, or
@@ -82,7 +92,7 @@ class EvalPool {
     std::exception_ptr error;
   };
 
-  // Everything a batch's jobs share. All pointers are borrowed and must
+  // What the jobs naming it share. All pointers are borrowed and must
   // outlive the evaluate() call; `prefix` is only ever read (concurrent
   // lookups are safe — see PrefixCache).
   struct BatchContext {
@@ -93,8 +103,8 @@ class EvalPool {
     const EvalGuards* guards = nullptr;
   };
 
-  // Spawns `threads` persistent workers (clamped to >= 1); with one thread
-  // no workers are spawned and evaluate() runs inline on the caller.
+  // `threads` lanes (clamped to >= 1): spawns `threads - 1` persistent
+  // workers; the caller of evaluate() is lane 0.
   EvalPool(const sim::SimulationConfig& sim,
            std::shared_ptr<const swarm::SwarmController> controller,
            const swarm::CommConfig& comm, int threads);
@@ -103,38 +113,50 @@ class EvalPool {
   EvalPool(const EvalPool&) = delete;
   EvalPool& operator=(const EvalPool&) = delete;
 
+  // Lanes, i.e. eval threads: the workers plus the calling thread.
   [[nodiscard]] int threads() const noexcept { return threads_; }
 
-  // Evaluates every job of the batch (concurrently when workers exist) and
-  // returns the outcomes in job order. Blocking; one batch in flight at a
-  // time per pool. Exceptions are captured per job, never thrown from here.
-  [[nodiscard]] std::vector<JobResult> evaluate(const BatchContext& context,
-                                                std::span<const Job> jobs);
+  // Evaluates every job on all lanes and returns the outcomes in job order.
+  // Blocking; one batch in flight at a time per pool. Exceptions are
+  // captured per job, never thrown from here; a job naming a context
+  // outside `contexts` is rejected (std::invalid_argument) before any runs.
+  [[nodiscard]] std::vector<JobResult> evaluate(
+      std::span<const BatchContext> contexts, std::span<const Job> jobs);
 
  private:
+  // One lane's simulation state; everything the jobs share (mission,
+  // prefix cache, guards) is read-only.
+  struct Lane {
+    Lane(const sim::SimulationConfig& sim,
+         std::shared_ptr<const swarm::SwarmController> controller,
+         const swarm::CommConfig& comm)
+        : simulator(sim), system(std::move(controller), comm) {}
+    const sim::Simulator simulator;
+    swarm::FlockingControlSystem system;
+  };
+
   void worker_loop();
-  static void run_job(const sim::Simulator& simulator,
-                      swarm::FlockingControlSystem& system,
-                      const BatchContext& context, const Job& job,
-                      JobResult& out) noexcept;
+  // Claims jobs of the published batch until the cursor runs out.
+  void drain(Lane& lane, std::span<const BatchContext> contexts,
+             std::span<const Job> jobs, JobResult* results) noexcept;
 
   sim::SimulationConfig sim_config_;
   std::shared_ptr<const swarm::SwarmController> controller_;
   swarm::CommConfig comm_;
   int threads_ = 1;
+  Lane caller_lane_;  // lane 0: used by the thread that calls evaluate()
 
   // Batch handoff: evaluate() publishes the batch under the mutex and bumps
-  // `generation_`; workers claim job indices via the atomic cursor, write
-  // disjoint results_ slots, and the last decrement of `remaining_` (under
-  // the mutex) releases the waiting caller — so results_ reads are ordered
-  // after every worker's writes.
+  // `generation_`, then drains the cursor itself; workers claim job indices
+  // via the atomic cursor, write disjoint results_ slots, and the last
+  // decrement of `remaining_` (under the mutex) releases the waiting caller
+  // — so results_ reads are ordered after every worker's writes.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;
-  const BatchContext* context_ = nullptr;
-  const Job* jobs_ = nullptr;
-  std::size_t num_jobs_ = 0;
-  std::vector<JobResult> results_;
+  std::span<const BatchContext> contexts_;
+  std::span<const Job> jobs_;
+  JobResult* results_ = nullptr;
   std::atomic<std::size_t> next_{0};
   std::size_t remaining_ = 0;
   std::uint64_t generation_ = 0;

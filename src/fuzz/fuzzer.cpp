@@ -380,12 +380,12 @@ class SvgOnlyFuzzer final : public RandomSearchFuzzer {
 // E_Fuzz: AFL-style persistent evolutionary search (DESIGN.md section 17).
 // The corpus is seeded from the SVG schedule (one t_ca-anchored window per
 // scheduled seed); each round assembles a fixed-size batch of mutants,
-// evaluates it through the speculate-then-replay batch path, and admits
+// evaluates it as one speculate-then-replay pool batch, and admits
 // candidates whose behavioral signature lights a novelty bin no corpus
 // member has lit. Periodic minimization keeps the population at one cheap
 // entry per bin. Results are bit-identical for any eval-thread count: batch
 // composition depends only on the RNG stream and corpus state, both of
-// which advance in replay (= submission) order.
+// which advance in replay order (group by group, then submission order).
 class EvolutionaryFuzzer final : public FuzzerBase {
  public:
   EvolutionaryFuzzer(FuzzerConfig config,
@@ -505,44 +505,49 @@ class EvolutionaryFuzzer final : public FuzzerBase {
         c.seed.vdo = clean.recorder.min_obstacle_distance(c.seed.victim);
       }
 
-      // Group by pair/direction in first-appearance order: each group is one
-      // evaluate_batch against that pair's objective, so window mutants of
-      // one parent fan out over the pool together.
-      std::vector<std::pair<Objective*, std::vector<std::size_t>>> groups;
+      // Group by pair/direction in first-appearance order and evaluate the
+      // round as one grouped call: every group's mutants share one pool
+      // batch, and replay (hence corpus admission) runs group by group.
+      struct Group {
+        Objective* objective = nullptr;
+        std::vector<std::size_t> indices;
+        std::vector<EvalRequest> requests;
+      };
+      std::vector<Group> groups;
       std::map<Objective*, std::size_t> group_of;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         Objective& objective = objective_for(batch[i].seed);
         const auto [it, inserted] = group_of.try_emplace(&objective, groups.size());
-        if (inserted) groups.push_back({&objective, {}});
-        groups[it->second].second.push_back(i);
+        if (inserted) groups.push_back({&objective, {}, {}});
+        Group& group = groups[it->second];
+        double t_s = batch[i].t_start;
+        double dur = batch[i].duration;
+        objective.project(t_s, dur);
+        group.indices.push_back(i);
+        group.requests.push_back(EvalRequest{t_s, dur});
       }
 
-      for (auto& [objective, indices] : groups) {
-        if (stop) break;
-        std::vector<EvalRequest> requests;
-        requests.reserve(indices.size());
-        for (const std::size_t i : indices) {
-          double t_s = batch[i].t_start;
-          double dur = batch[i].duration;
-          objective->project(t_s, dur);
-          requests.push_back(EvalRequest{t_s, dur});
-        }
-        objective->evaluate_batch(
-            requests, [&](std::size_t j, const ObjectiveEval& eval) {
-              const MutantCandidate& candidate = batch[indices[j]];
+      std::vector<ObjectiveBatch> round;
+      round.reserve(groups.size());
+      for (const Group& group : groups) {
+        round.push_back(ObjectiveBatch{
+            .objective = group.objective,
+            .requests = group.requests,
+            .consume = [&](std::size_t j, const ObjectiveEval& eval) {
+              const MutantCandidate& candidate = batch[group.indices[j]];
+              const EvalRequest& window = group.requests[j];
               ++result.iterations;
               ++result.attempts_tried;
               corpus.admit(CorpusEntry{
-                  candidate.seed, requests[j].t_start, requests[j].duration,
-                  eval.f,
+                  candidate.seed, window.t_start, window.duration, eval.f,
                   // Cost proxy: the tail simulated under prefix reuse — later
                   // windows are cheaper to re-evaluate, so minimization
                   // prefers them on equal coverage.
-                  clean.end_time - requests[j].t_start,
+                  clean.end_time - window.t_start,
                   novelty_signature(eval, clean.end_time, evo.novelty)});
               const OptimizationResult outcome{.success = eval.success,
-                                               .t_start = requests[j].t_start,
-                                               .duration = requests[j].duration,
+                                               .t_start = window.t_start,
+                                               .duration = window.duration,
                                                .best_f = eval.f,
                                                .crashed_drone = eval.crashed_drone,
                                                .iterations = 1};
@@ -556,8 +561,9 @@ class EvolutionaryFuzzer final : public FuzzerBase {
                 return false;
               }
               return result.iterations < config_.mission_budget;
-            });
+            }});
       }
+      Objective::evaluate_batches(round);
 
       if (corpus.admissions() - minimized_at >= std::max(evo.minimize_period, 1)) {
         corpus.minimize();

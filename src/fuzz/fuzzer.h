@@ -76,11 +76,12 @@ struct FuzzerConfig {
   // way (see sim/checkpoint.h); off only for benchmarking/debugging.
   bool prefix_reuse = true;
   double checkpoint_period = 1.0;
-  // Eval-thread count for the gradient search's batch evaluations (the
-  // multi-start candidates and each iteration's FD stencil): 1 (default)
-  // evaluates serially, N > 1 fans batches out over an EvalPool of N worker
-  // threads, 0 resolves to the hardware concurrency. Results are
-  // bit-identical for any value (see Objective::evaluate_batch); campaigns
+  // Eval-thread count for the searches' batch evaluations (the gradient
+  // search's multi-start candidates and FD stencils, E_Fuzz's rounds):
+  // 1 (default) evaluates serially, N > 1 fans batches out over an EvalPool
+  // of N lanes (N - 1 workers plus the calling thread), 0 resolves to the
+  // hardware concurrency. Results are bit-identical for any value (see
+  // Objective::evaluate_batches); campaigns
   // split the machine between mission workers, eval threads and intra-tick
   // sim threads (fuzz::split_thread_budget) so
   // workers x eval_threads x sim.sim_threads stays within the hardware.

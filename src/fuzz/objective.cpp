@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -195,80 +196,120 @@ ObjectiveEval Objective::evaluate(double t_start, double duration) {
 
 void Objective::evaluate_batch(std::span<const EvalRequest> batch,
                                const BatchConsumer& consume) {
-  ++eval_batches_;
-  if (pool_ == nullptr || pool_->threads() <= 1 || batch.size() <= 1) {
-    ObjectiveFunction::evaluate_batch(batch, consume);
+  // std::cref: the group borrows the consumer instead of copying it.
+  const ObjectiveBatch group{
+      .objective = this, .requests = batch, .consume = std::cref(consume)};
+  evaluate_batches({&group, 1});
+}
+
+void Objective::evaluate_batches(std::span<const ObjectiveBatch> groups) {
+  for (const ObjectiveBatch& group : groups) {
+    if (group.objective == nullptr) {
+      throw std::invalid_argument("Objective::evaluate_batches: null objective");
+    }
+    if (group.objective->pool_ != groups.front().objective->pool_) {
+      throw std::invalid_argument(
+          "Objective::evaluate_batches: groups must share one eval pool");
+    }
+  }
+  EvalPool* const pool = groups.empty() ? nullptr : groups.front().objective->pool_;
+  // Lazy serial loop: an entry is only evaluated once every earlier entry
+  // (of this and every earlier group) was consumed.
+  const auto run_serially = [&] {
+    for (const ObjectiveBatch& group : groups) {
+      ++group.objective->eval_batches_;
+      for (std::size_t i = 0; i < group.requests.size(); ++i) {
+        const EvalRequest& r = group.requests[i];
+        if (!group.consume(i, group.objective->evaluate(r.t_start, r.duration))) {
+          return;
+        }
+      }
+    }
+  };
+  if (pool == nullptr || pool->threads() <= 1) {
+    run_serially();
     return;
   }
 
-  // Speculative fan-out: simulate every non-memoised candidate concurrently
-  // (including entries a serial run might never reach), then replay in
-  // submission order and commit — counter increments, memo inserts — only
-  // the prefix the consumer accepts. Discarded speculative work touches no
-  // observable state, so evaluations()/memo_hits()/memo contents match the
-  // serial path bit for bit.
+  // Speculative fan-out: stage every group's non-memoised candidates as
+  // one pool batch (including entries a serial run might never reach),
+  // then replay group by group in submission order and commit — counter
+  // increments, memo inserts — only the prefix the consumers accept.
+  // Discarded speculative work touches no observable state, so every
+  // objective's counters and memo match the serial path bit for bit.
   constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
   struct Candidate {
-    double t_start = 0.0;
-    double duration = 0.0;
     std::pair<std::uint64_t, std::uint64_t> key{};
     std::size_t job = kNoJob;
   };
-  std::vector<Candidate> candidates(batch.size());
+  std::vector<Candidate> candidates;
+  std::vector<EvalPool::BatchContext> contexts;
   std::vector<EvalPool::Job> jobs;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> queued;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Candidate& c = candidates[i];
-    c.t_start = batch[i].t_start;
-    c.duration = batch[i].duration;
-    project(c.t_start, c.duration);
-    c.key = {std::bit_cast<std::uint64_t>(c.t_start),
-             std::bit_cast<std::uint64_t>(c.duration)};
-    if (memo_.contains(c.key)) {
-      continue;  // replay will serve it as a memo hit
-    }
-    // Duplicate keys within the batch simulate once; during replay the
-    // first occurrence commits the memo entry and later ones hit it,
-    // exactly as serial evaluation would.
-    const auto [it, inserted] = queued.try_emplace(c.key, jobs.size());
-    if (inserted) {
-      jobs.push_back({.t_start = c.t_start, .duration = c.duration});
-    }
-    c.job = it->second;
-  }
-
-  std::vector<EvalPool::JobResult> results;
-  if (!jobs.empty()) {
-    const EvalPool::BatchContext context{.mission = &mission_,
-                                         .seed = seed_,
-                                         .spoof_distance = spoof_distance_,
-                                         .prefix = prefix_,
-                                         .guards = guards_};
-    results = pool_->evaluate(context, jobs);
-  }
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Candidate& c = candidates[i];
-    ObjectiveEval eval;
-    if (const auto it = memo_.find(c.key); it != memo_.end()) {
-      ++memo_hits_;
-      eval = it->second;
-    } else {
-      EvalPool::JobResult& r = results[c.job];
-      if (r.error) {
-        // Rethrown at the entry's replay position: everything committed so
-        // far matches the serial run, and the exception aborts the search
-        // before any counter becomes externally observable.
-        std::rethrow_exception(r.error);
+  contexts.reserve(groups.size());
+  for (const ObjectiveBatch& group : groups) {
+    const Objective& o = *group.objective;
+    const std::size_t context = contexts.size();
+    contexts.push_back({.mission = &o.mission_,
+                        .seed = o.seed_,
+                        .spoof_distance = o.spoof_distance_,
+                        .prefix = o.prefix_,
+                        .guards = o.guards_});
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> queued;
+    for (const EvalRequest& r : group.requests) {
+      double t_start = r.t_start;
+      double duration = r.duration;
+      o.project(t_start, duration);
+      Candidate& c = candidates.emplace_back();
+      c.key = {std::bit_cast<std::uint64_t>(t_start),
+               std::bit_cast<std::uint64_t>(duration)};
+      if (o.memo_.contains(c.key)) {
+        continue;  // replay will serve it as a memo hit
       }
-      ++evaluations_;
-      sim_steps_executed_ += r.steps_executed;
-      prefix_steps_reused_ += r.steps_resumed;
-      memo_.emplace(c.key, r.eval);
-      eval = r.eval;
+      // Duplicate keys within the group simulate once; during replay the
+      // first occurrence commits the memo entry and later ones hit it,
+      // exactly as serial evaluation would.
+      const auto [it, inserted] = queued.try_emplace(c.key, jobs.size());
+      if (inserted) {
+        jobs.push_back(
+            {.t_start = t_start, .duration = duration, .context = context});
+      }
+      c.job = it->second;
     }
-    if (!consume(i, eval)) {
-      return;
+  }
+  if (jobs.size() <= 1) {
+    // Nothing to overlap: simulating the lone job inline, in its replay
+    // position, also skips it when an earlier consumer stops.
+    run_serially();
+    return;
+  }
+
+  std::vector<EvalPool::JobResult> results = pool->evaluate(contexts, jobs);
+  const Candidate* c = candidates.data();
+  for (const ObjectiveBatch& group : groups) {
+    Objective& o = *group.objective;
+    ++o.eval_batches_;
+    for (std::size_t i = 0; i < group.requests.size(); ++i, ++c) {
+      ObjectiveEval eval;
+      if (const auto it = o.memo_.find(c->key); it != o.memo_.end()) {
+        ++o.memo_hits_;
+        eval = it->second;
+      } else {
+        EvalPool::JobResult& r = results[c->job];
+        if (r.error) {
+          // Rethrown at the entry's replay position: everything committed
+          // so far matches the serial run, and the exception aborts the
+          // search before any counter becomes externally observable.
+          std::rethrow_exception(r.error);
+        }
+        ++o.evaluations_;
+        o.sim_steps_executed_ += r.steps_executed;
+        o.prefix_steps_reused_ += r.steps_resumed;
+        o.memo_.emplace(c->key, r.eval);
+        eval = r.eval;
+      }
+      if (!group.consume(i, eval)) {
+        return;
+      }
     }
   }
 }

@@ -146,6 +146,17 @@ struct AttackEvalOutcome {
     double spoof_distance, const PrefixCache* prefix, const EvalGuards* guards,
     double t_start, double duration);
 
+class Objective;
+
+// One group of a grouped evaluation (Objective::evaluate_batches): a batch
+// of candidates for one objective and the consumer its outcomes replay
+// through. `requests` is borrowed for the duration of the call.
+struct ObjectiveBatch {
+  Objective* objective = nullptr;
+  std::span<const EvalRequest> requests;
+  BatchConsumer consume;
+};
+
 // Evaluates attacked missions for a fixed seed. Not thread-safe (owns the
 // control system it mutates); create one per worker.
 class Objective final : public ObjectiveFunction {
@@ -165,17 +176,25 @@ class Objective final : public ObjectiveFunction {
 
   [[nodiscard]] ObjectiveEval evaluate(double t_start, double duration) override;
 
-  // With a pool: projects every candidate, simulates the non-memoised ones
-  // concurrently (speculatively — including entries a serial run would
-  // never reach), then replays outcomes in submission order, committing
-  // counters and memo entries only for the prefix of entries the consumer
-  // actually accepts. Evaluations, memo hits, step counters, and memo
-  // contents end up exactly as if evaluate() had been called serially until
-  // consume returned false; a captured worker exception is rethrown at its
-  // entry's replay position. Without a pool (or single-threaded, or a
-  // batch of one) this is the serial loop.
+  // The one-group case of evaluate_batches().
   void evaluate_batch(std::span<const EvalRequest> batch,
                       const BatchConsumer& consume) override;
+
+  // Evaluates several objectives' batches as one pool batch. Projects every
+  // candidate, skips the memoised ones and dedups exact-bit repeats within
+  // a group, simulates the rest concurrently (speculatively — including
+  // entries and whole groups a serial run would never reach), then replays
+  // group by group in the given order and, within a group, in submission
+  // order. Only the entries the consumers actually accept commit counters
+  // and memo entries, and a group counts towards eval_batches() when the
+  // replay reaches it; a consumer returning false ends the whole call.
+  // Every objective's evaluations, memo hits, batch and step counters, and
+  // memo contents end up exactly as if each group had been evaluated
+  // serially in turn; a captured worker exception is rethrown at its
+  // entry's replay position. All groups must share one pool (or none).
+  // Without a pool, with one thread, or with at most one simulation to run,
+  // this is the lazy serial loop.
+  static void evaluate_batches(std::span<const ObjectiveBatch> groups);
 
   // Clamps (t_s, dt) into the feasible region 0 <= t_s, dt_min <= dt,
   // t_s + dt <= t_mission.
@@ -186,8 +205,8 @@ class Objective final : public ObjectiveFunction {
   [[nodiscard]] int evaluations() const noexcept { return evaluations_; }
   [[nodiscard]] int memo_hits() const noexcept { return memo_hits_; }
 
-  // Batches submitted through evaluate_batch (pooled or not); equal across
-  // serial and parallel runs of the same search.
+  // Batches submitted through evaluate_batch/evaluate_batches (pooled or
+  // not); equal across serial and parallel runs of the same search.
   [[nodiscard]] int eval_batches() const noexcept { return eval_batches_; }
 
   // Control ticks simulated vs skipped by resuming from prefix checkpoints,

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <tuple>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "fuzz/campaign.h"
@@ -121,32 +125,64 @@ struct PoolFixture {
             .direction = attack::SpoofDirection::kRight};
 };
 
-TEST(EvalPool, BatchResultsMatchSerialEvaluation) {
-  PoolFixture f;
-  EvalPool pool(f.sim_config, f.controller, {}, 3);
-  EXPECT_EQ(pool.threads(), 3);
-
-  const std::vector<EvalPool::Job> jobs{
-      {10.0, 20.0}, {30.0, 15.0}, {5.0, 5.0}, {18.0, 12.0}};
-  const EvalPool::BatchContext context{
-      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
-  const std::vector<EvalPool::JobResult> results = pool.evaluate(context, jobs);
+// Serial reference for one job: a fresh simulator/system clone, like each
+// lane owns.
+void expect_matches_serial(const PoolFixture& f,
+                           std::span<const EvalPool::BatchContext> contexts,
+                           std::span<const EvalPool::Job> jobs,
+                           const std::vector<EvalPool::JobResult>& results) {
   ASSERT_EQ(results.size(), jobs.size());
-
-  // Serial reference: a fresh simulator/system clone, like each worker owns.
   const sim::Simulator simulator(f.sim_config);
   swarm::FlockingControlSystem system(f.controller, {});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_FALSE(results[i].error) << "job " << i;
-    const AttackEvalOutcome serial =
-        evaluate_attack(f.mission, simulator, system, f.seed, 10.0, nullptr,
-                        nullptr, jobs[i].t_start, jobs[i].duration);
+    const EvalPool::BatchContext& context = contexts[jobs[i].context];
+    const AttackEvalOutcome serial = evaluate_attack(
+        *context.mission, simulator, system, context.seed,
+        context.spoof_distance, context.prefix, context.guards,
+        jobs[i].t_start, jobs[i].duration);
     EXPECT_EQ(results[i].eval.f, serial.eval.f) << "job " << i;
     EXPECT_EQ(results[i].eval.success, serial.eval.success);
     EXPECT_EQ(results[i].eval.crashed_drone, serial.eval.crashed_drone);
     EXPECT_EQ(results[i].eval.end_time, serial.eval.end_time);
+    EXPECT_EQ(results[i].eval.drone_clearance, serial.eval.drone_clearance);
     EXPECT_EQ(results[i].steps_executed, serial.steps_executed);
     EXPECT_EQ(results[i].steps_resumed, serial.steps_resumed);
+  }
+}
+
+TEST(EvalPool, BatchResultsMatchSerialEvaluation) {
+  PoolFixture f;
+  const EvalPool::BatchContext context{
+      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const std::vector<EvalPool::Job> jobs{
+      {10.0, 20.0}, {30.0, 15.0}, {5.0, 5.0}, {18.0, 12.0}};
+
+  // One batch mixing two seeds and both spoofing directions, interleaved
+  // so neighbouring jobs switch context.
+  const std::vector<EvalPool::BatchContext> mixed{
+      context,
+      {.mission = &f.mission,
+       .seed = {.target = 2, .victim = 3,
+                .direction = attack::SpoofDirection::kLeft},
+       .spoof_distance = 10.0},
+      {.mission = &f.mission,
+       .seed = {.target = 0, .victim = 1,
+                .direction = attack::SpoofDirection::kLeft},
+       .spoof_distance = 10.0}};
+  const std::vector<EvalPool::Job> mixed_jobs{
+      {10.0, 20.0, 1}, {10.0, 20.0, 0}, {30.0, 15.0, 2}, {5.0, 5.0, 1},
+      {18.0, 12.0, 0}, {18.0, 12.0, 2}, {30.0, 15.0, 1}};
+
+  // One thread: the caller is the only lane; two and three: lane 0 on the
+  // caller plus one and two workers.
+  for (const int threads : {1, 2, 3}) {
+    SCOPED_TRACE(threads);
+    EvalPool pool(f.sim_config, f.controller, {}, threads);
+    EXPECT_EQ(pool.threads(), threads);
+    expect_matches_serial(f, {&context, 1}, jobs,
+                          pool.evaluate({&context, 1}, jobs));
+    expect_matches_serial(f, mixed, mixed_jobs, pool.evaluate(mixed, mixed_jobs));
   }
 }
 
@@ -157,7 +193,7 @@ TEST(EvalPool, SingleThreadRunsInlineWithoutWorkers) {
   const std::vector<EvalPool::Job> jobs{{10.0, 20.0}};
   const EvalPool::BatchContext context{
       .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
-  const auto results = pool.evaluate(context, jobs);
+  const auto results = pool.evaluate({&context, 1}, jobs);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].error);
   EXPECT_GT(results[0].steps_executed, 0);
@@ -168,12 +204,23 @@ TEST(EvalPool, EmptyBatchReturnsEmpty) {
   EvalPool pool(f.sim_config, f.controller, {}, 2);
   const EvalPool::BatchContext context{
       .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
-  EXPECT_TRUE(pool.evaluate(context, {}).empty());
+  EXPECT_TRUE(pool.evaluate({&context, 1}, {}).empty());
+}
+
+TEST(EvalPool, RejectsJobNamingMissingContext) {
+  PoolFixture f;
+  EvalPool pool(f.sim_config, f.controller, {}, 2);
+  const EvalPool::BatchContext context{
+      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const std::vector<EvalPool::Job> jobs{{10.0, 20.0, 0}, {30.0, 15.0, 1}};
+  EXPECT_THROW((void)pool.evaluate({&context, 1}, jobs), std::invalid_argument);
+  // Nothing ran, and the pool still serves a well-formed batch.
+  EXPECT_EQ(pool.evaluate({&context, 1}, std::span(jobs).first(1)).size(), 1u);
 }
 
 TEST(EvalPool, CapturesGuardTripsPerJob) {
   // A one-step watchdog trips every simulation; the pool must capture the
-  // RunFaultError in each job's slot instead of tearing down a worker.
+  // RunFaultError in each job's slot instead of tearing down a lane.
   PoolFixture f;
   EvalPool pool(f.sim_config, f.controller, {}, 2);
   EvalGuards guards;
@@ -183,7 +230,7 @@ TEST(EvalPool, CapturesGuardTripsPerJob) {
                                        .seed = f.seed,
                                        .spoof_distance = 10.0,
                                        .guards = &guards};
-  const auto results = pool.evaluate(context, jobs);
+  const auto results = pool.evaluate({&context, 1}, jobs);
   ASSERT_EQ(results.size(), 2u);
   for (const EvalPool::JobResult& r : results) {
     ASSERT_TRUE(r.error);
@@ -191,13 +238,96 @@ TEST(EvalPool, CapturesGuardTripsPerJob) {
   }
 
   // The pool stays usable after a faulted batch.
-  const auto ok = pool.evaluate(
-      EvalPool::BatchContext{
-          .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0},
-      jobs);
+  const EvalPool::BatchContext unguarded{
+      .mission = &f.mission, .seed = f.seed, .spoof_distance = 10.0};
+  const auto ok = pool.evaluate({&unguarded, 1}, jobs);
   ASSERT_EQ(ok.size(), 2u);
   EXPECT_FALSE(ok[0].error);
   EXPECT_FALSE(ok[1].error);
+}
+
+// ---------------------------------------------------------------------------
+// Objective::evaluate_batches: one pool batch across objectives must commit
+// exactly what evaluating the groups serially, one after another, commits.
+
+struct GroupedRun {
+  std::vector<std::tuple<int, std::size_t, double>> consumed;  // group, entry, f
+  // Per objective: evaluations, memo hits, batches, steps executed/reused.
+  std::vector<std::array<std::int64_t, 5>> counters;
+};
+
+GroupedRun run_grouped(const PoolFixture& f, EvalPool* pool, int stop_group,
+                       std::size_t stop_entry) {
+  const sim::Simulator simulator(f.sim_config);
+  swarm::FlockingControlSystem system(f.controller, {});
+  const double t_mission = simulator.run(f.mission, system).end_time;
+  Objective a(f.mission, simulator, system, f.seed, 10.0, t_mission, nullptr,
+              nullptr, pool);
+  Objective b(f.mission, simulator, system,
+              Seed{.target = 2, .victim = 3,
+                   .direction = attack::SpoofDirection::kLeft},
+              10.0, t_mission, nullptr, nullptr, pool);
+  (void)a.evaluate(30.0, 15.0);  // memoised before the call: a replay hit
+
+  // Group 0 repeats a window, group 2 goes back to objective `a` and
+  // repeats group 0's windows.
+  const std::vector<EvalRequest> first{{10.0, 20.0}, {30.0, 15.0}, {10.0, 20.0}};
+  const std::vector<EvalRequest> second{{5.0, 5.0}, {18.0, 12.0}};
+  const std::vector<EvalRequest> third{{18.0, 12.0}, {10.0, 20.0}};
+  GroupedRun run;
+  const auto consumer = [&](int group) -> BatchConsumer {
+    return [&run, group, stop_group, stop_entry](std::size_t i,
+                                                 const ObjectiveEval& e) {
+      run.consumed.emplace_back(group, i, e.f);
+      return group != stop_group || i != stop_entry;
+    };
+  };
+  const std::vector<ObjectiveBatch> groups{{&a, first, consumer(0)},
+                                           {&b, second, consumer(1)},
+                                           {&a, third, consumer(2)}};
+  Objective::evaluate_batches(groups);
+  for (const Objective* o : {&a, &b}) {
+    run.counters.push_back({o->evaluations(), o->memo_hits(), o->eval_batches(),
+                            o->sim_steps_executed(), o->prefix_steps_reused()});
+  }
+  return run;
+}
+
+TEST(EvalPool, GroupedBatchesCommitLikeSerialGroups) {
+  PoolFixture f;
+  EvalPool pool(f.sim_config, f.controller, {}, 3);
+  // Run to the end, then stop at the first entry of the middle group: the
+  // pool has already simulated the last group, which must leave no trace.
+  for (const int stop_group : {-1, 1}) {
+    SCOPED_TRACE(stop_group);
+    const GroupedRun serial = run_grouped(f, nullptr, stop_group, 0);
+    const GroupedRun pooled = run_grouped(f, &pool, stop_group, 0);
+    EXPECT_EQ(pooled.consumed, serial.consumed);
+    EXPECT_EQ(pooled.counters, serial.counters);
+  }
+  const GroupedRun stopped = run_grouped(f, &pool, 1, 0);
+  ASSERT_EQ(stopped.consumed.size(), 4u);
+  EXPECT_EQ(stopped.counters[0][2], 1);  // group 2 never reached: not counted
+  EXPECT_EQ(stopped.counters[1][2], 1);
+}
+
+TEST(EvalPool, GroupedBatchesRejectMixedPools) {
+  PoolFixture f;
+  EvalPool pool(f.sim_config, f.controller, {}, 2);
+  const sim::Simulator simulator(f.sim_config);
+  swarm::FlockingControlSystem system(f.controller, {});
+  Objective pooled(f.mission, simulator, system, f.seed, 10.0, 60.0, nullptr,
+                   nullptr, &pool);
+  Objective serial(f.mission, simulator, system, f.seed, 10.0, 60.0);
+  const std::vector<EvalRequest> requests{{10.0, 20.0}};
+  const BatchConsumer accept = [](std::size_t, const ObjectiveEval&) {
+    return true;
+  };
+  const std::vector<ObjectiveBatch> groups{{&pooled, requests, accept},
+                                           {&serial, requests, accept}};
+  EXPECT_THROW(Objective::evaluate_batches(groups), std::invalid_argument);
+  EXPECT_EQ(pooled.evaluations(), 0);
+  EXPECT_EQ(serial.evaluations(), 0);
 }
 
 // ---------------------------------------------------------------------------

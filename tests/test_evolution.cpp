@@ -5,10 +5,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
+#include "sim/fault.h"
+#include "swarm/flocking_system.h"
 
 namespace swarmfuzz::fuzz {
 namespace {
@@ -144,6 +147,84 @@ TEST(Evolutionary, RespectsMissionBudgetWithOddBatchSize) {
   const FuzzResult result =
       make_fuzzer(FuzzerKind::kEvolutionary, config)->fuzz(mission_with(1000));
   EXPECT_EQ(result.iterations, 10);
+}
+
+TEST(Evolutionary, EvalBatchesMatchAcrossEvalThreadsOnMidRoundSuccess) {
+  // Each round is one pool batch over all of its (pair, direction) groups,
+  // so groups after the one that finds the SPV are simulated speculatively.
+  // Only the groups the replay reaches count towards eval_batches, as in the
+  // serial run. Mission 1009 succeeds in the third group of round 0, 1038
+  // midway through round 2; deterministic_equal does not compare
+  // eval_batches, so it is checked on its own.
+  for (const std::uint64_t seed : {1009u, 1038u}) {
+    SCOPED_TRACE(seed);
+    const sim::MissionSpec mission = mission_with(seed);
+    FuzzerConfig config = fast_config(10.0);
+    config.eval_threads = 1;
+    const FuzzResult serial =
+        make_fuzzer(FuzzerKind::kEvolutionary, config)->fuzz(mission);
+    config.eval_threads = 4;
+    const FuzzResult pooled =
+        make_fuzzer(FuzzerKind::kEvolutionary, config)->fuzz(mission);
+    ASSERT_TRUE(serial.found);
+    EXPECT_NE(serial.iterations % config.evolution.batch_size, 0);  // mid-round
+    EXPECT_TRUE(deterministic_equal(serial, pooled));
+    EXPECT_EQ(pooled.eval_batches, serial.eval_batches);
+  }
+}
+
+// A fuzz() call's result, or the guard trip that aborted it.
+struct GuardedOutcome {
+  std::optional<FuzzResult> result;
+  std::string error;
+};
+
+GuardedOutcome fuzz_guarded(const FuzzerConfig& config,
+                            const sim::MissionSpec& mission) {
+  try {
+    return {make_fuzzer(FuzzerKind::kEvolutionary, config)->fuzz(mission), {}};
+  } catch (const sim::RunFaultError& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+TEST(Evolutionary, CrossGroupGuardTripsMatchAcrossEvalThreads) {
+  // Without prefix reuse every evaluation simulates the whole mission, so a
+  // sim-step budget a little above the clean run's trips only the windows
+  // whose attack delays arrival (the long tails). Round 0 of mission 1073
+  // has eight groups. At clean + 32 steps the success in group 7 comes
+  // first, and the trip in group 8 is speculative work whose captured
+  // error must be discarded. At clean + 24 a job of group 2 trips before any
+  // success, and its error must be rethrown at that job's replay position.
+  const sim::MissionSpec mission = mission_with(1073);
+  FuzzerConfig config = fast_config(10.0);
+  config.prefix_reuse = false;
+  const std::int64_t clean_steps =
+      sim::Simulator(config.sim)
+          .run(mission, *swarm::make_vasarhelyi_system())
+          .steps_executed;
+
+  config.eval_max_steps = clean_steps + 32;
+  config.eval_threads = 1;
+  const GuardedOutcome serial = fuzz_guarded(config, mission);
+  config.eval_threads = 4;
+  const GuardedOutcome pooled = fuzz_guarded(config, mission);
+  ASSERT_TRUE(serial.result.has_value()) << serial.error;
+  ASSERT_TRUE(pooled.result.has_value()) << pooled.error;
+  EXPECT_TRUE(serial.result->found);
+  EXPECT_TRUE(deterministic_equal(*serial.result, *pooled.result));
+  EXPECT_EQ(pooled.result->eval_batches, serial.result->eval_batches);
+
+  config.eval_max_steps = clean_steps + 24;
+  config.eval_threads = 1;
+  const GuardedOutcome serial_trip = fuzz_guarded(config, mission);
+  config.eval_threads = 4;
+  const GuardedOutcome pooled_trip = fuzz_guarded(config, mission);
+  EXPECT_FALSE(serial_trip.result.has_value());
+  EXPECT_FALSE(pooled_trip.result.has_value());
+  EXPECT_NE(serial_trip.error.find("sim-step budget"), std::string::npos)
+      << serial_trip.error;
+  EXPECT_EQ(pooled_trip.error, serial_trip.error);
 }
 
 }  // namespace
